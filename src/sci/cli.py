@@ -6,7 +6,7 @@ seed produce byte-identical primary output files. Timings and counters are
 printed to stderr so primary outputs stay clean.
 
 The environment variable SCI_THREADS caps numeric-library worker threads
-(0 or unset = library default).
+(0 or unset = library default); the cap is applied on `import sci`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,12 @@ import os
 import sys
 import time
 
+import numpy as np
+
+from . import data_io, diagnostics, encoder, evaluation, ivf, training
+from .core import make_rng
+from .errors import SciError
+
 # Desk-scale defaults; production-scale reference values are nlist=4096,
 # nprobe=64, M=64 with 256 codewords per sub-quantizer.
 DEFAULT_MARGIN = 0.2
@@ -26,14 +32,6 @@ DEFAULT_NLIST = 16
 DEFAULT_NPROBE = 4
 DEFAULT_PQ_M = 8
 DEFAULT_PQ_KSUB = 16
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SCI_THREADS", "")
-    if cap.isdigit() and int(cap) > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _int_list(text):
@@ -131,8 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text, path) -> None:
+    if path:
+        with data_io.atomic_open(path) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_gen_data(args) -> int:
-    from . import data_io
     spec = data_io.SyntheticSpec(args.items, args.queries, args.dim,
                                  args.clusters, args.misalign, args.noise,
                                  args.seed)
@@ -142,7 +147,6 @@ def _cmd_gen_data(args) -> int:
     data_io.write_vectors(join("items.sciv"), data.item_features, data.item_ids)
     data_io.write_vectors(join("queries.sciv"), data.query_features,
                           data.query_ids)
-    import numpy as np
     q = np.concatenate([b.queries for b in data.triplets])
     pos = np.concatenate([b.pos_items for b in data.triplets])
     neg = np.concatenate([b.neg_items for b in data.triplets])
@@ -154,22 +158,18 @@ def _cmd_gen_data(args) -> int:
 
 
 def _load_triplet_batches(data_dir, batch_size=64):
-    from . import data_io
-    from .training import TripletBatch
     q, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_q.sciv"))
     pos, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_pos.sciv"))
     neg, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_neg.sciv"))
     batches = []
     for start in range(0, len(q), batch_size):
         stop = start + batch_size
-        batches.append(TripletBatch(q[start:stop], pos[start:stop],
-                                    neg[start:stop]))
+        batches.append(training.TripletBatch(q[start:stop], pos[start:stop],
+                                             neg[start:stop]))
     return batches
 
 
 def _cmd_train(args) -> int:
-    from . import data_io, encoder, training
-    from .core import make_rng
     batches = _load_triplet_batches(args.data)
     input_dim = batches[0].queries.shape[1]
     out_dim = args.out_dim or input_dim
@@ -191,12 +191,10 @@ def _cmd_train(args) -> int:
 
 def _equal_count_pool(queries, items):
     n = min(len(queries), len(items))
-    import numpy as np
     return np.concatenate([queries[:n], items[:n]])
 
 
 def _cmd_diagnose(args) -> int:
-    from . import data_io, diagnostics
     model = data_io.load_model(args.model)
     items, item_ids = data_io.read_vectors(
         os.path.join(args.data, "items.sciv"))
@@ -212,18 +210,11 @@ def _cmd_diagnose(args) -> int:
                 pairs.append((queries[qid_to_row[qid]], items[id_to_row[item]]))
     report = diagnostics.diagnose(model, pairs,
                                   _equal_count_pool(queries, items))
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def _cmd_build_index(args) -> int:
-    from . import data_io, ivf
-    from .core import make_rng
     model = data_io.load_model(args.model)
     feats, ids = data_io.read_vectors(args.items)
     items = list(zip(ids.tolist(), feats))
@@ -246,7 +237,6 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from . import data_io, ivf
     model = data_io.load_model(args.model)
     index = ivf.load(args.index)
     queries, query_ids = data_io.read_vectors(args.queries)
@@ -267,7 +257,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from . import data_io, evaluation
     run = data_io.read_run(args.run)
     qrels = data_io.read_qrels(args.qrels)
     report = evaluation.evaluate(run, qrels, args.k)
@@ -275,20 +264,13 @@ def _cmd_eval(args) -> int:
     for key in sorted(report.values):
         metric, cutoff = key.split("@")
         lines.append(f"{metric},{cutoff},{report.values[key]:.6g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     print(f"{report.n_queries} queries, {report.n_skipped} skipped "
           f"(no relevant items)", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    from . import data_io, evaluation, ivf
-    from .core import make_rng
     model = data_io.load_model(args.model)
     feats, ids = data_io.read_vectors(args.items)
     queries, query_ids = data_io.read_vectors(args.queries)
@@ -303,8 +285,7 @@ def _cmd_sweep(args) -> int:
     result = evaluation.nprobe_sweep(index_std, index_ci, model,
                                      list(zip(query_ids.tolist(), queries)),
                                      qrels, args.nprobe, args.k)
-    with open(args.out, "w") as fh:
-        fh.write(evaluation.sweep_csv(result))
+    _emit(evaluation.sweep_csv(result), args.out)
     for metric, cutoff, np_std, np_ci in result.matches:
         reached = f"nprobe={np_ci}" if np_ci is not None else "not reached"
         print(f"{metric}@{cutoff}: ci matches standard@nprobe={np_std} "
@@ -324,14 +305,12 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
-    from .errors import SciError
     try:
         return _COMMANDS[args.command](args)
     except (SciError, OSError, ValueError) as exc:

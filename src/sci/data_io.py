@@ -17,8 +17,12 @@ File formats (all integers little-endian):
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import struct
+import uuid
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,49 +145,130 @@ def gen_synthetic(spec: SyntheticSpec, triplets_per_query: int = 4,
 
 
 # ---------------------------------------------------------------------------
+# Containers: every binary file is read through one bounds-checked cursor,
+# and every file is written through one atomic writer.
+
+
+class Reader:
+    """Bounds-checked cursor over the bytes of one file.
+
+    Every size is checked, in Python ints, against the bytes left before
+    anything is allocated. Any defect raises `error(offset, reason)`.
+    """
+
+    def __init__(self, path, error=CorruptFile):
+        with open(path, "rb") as fh:
+            self.data = memoryview(fh.read())
+        self.path = os.fspath(path)
+        self.offset = 0
+        self._error = error
+
+    def error(self, offset: int, reason: str) -> CorruptFile:
+        return self._error(offset, f"{self.path}: {reason}")
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.data) - self.offset:
+            raise self.error(self.offset, f"truncated: {n} bytes needed")
+        self.offset += n
+        return self.data[self.offset - n:self.offset]
+
+    def tag(self, tags: dict) -> str:
+        """Read a u8 tag and return its name in `tags` (name -> tag)."""
+        names = {v: k for k, v in tags.items()}
+        value, = self.unpack("<B")
+        if value not in names:
+            raise self.error(self.offset - 1, f"unknown tag {value}")
+        return names[value]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, shape) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        raw = self.take(math.prod(shape) * dtype.itemsize)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+    def end(self) -> None:
+        if self.offset != len(self.data):
+            raise self.error(self.offset, "trailing bytes")
+
+
+def open_container(path, magic: bytes, error=CorruptFile) -> Reader:
+    """A Reader past the magic and version fields of a binary format."""
+    r = Reader(path, error)
+    if r.take(4) != magic:
+        raise r.error(0, "bad magic")
+    if r.unpack("<I") != (_VERSION,):
+        raise r.error(4, "unsupported version")
+    return r
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temporary file beside `path` that replaces it on success, so a
+    failed write leaves the old file whole. New files get the mode a plain
+    `open(path, "w")` gives them. No fsync: not durable across power loss.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode) as fh:  # a device or FIFO is written in place
+            yield fh
+        return
+    path = os.path.realpath(path)  # through a symlink, as open() writes
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def write_container(path, magic: bytes, parts) -> None:
+    """Atomically write `magic`, the format version, then the `parts` bytes."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(magic + struct.pack("<I", _VERSION))
+        fh.writelines(parts)
+
+
+# ---------------------------------------------------------------------------
 # Vector files
 
 
 def write_vectors(path, vectors, ids=None) -> None:
+    """Rows to `path`, ids to `<path>.ids`; without ids, old .ids is removed."""
     x = np.asarray(vectors, dtype=np.float32)
-    if x.ndim != 2:
-        raise ValueError("expected a 2-D array of vectors")
-    with open(path, "wb") as fh:
-        fh.write(_VEC_MAGIC)
-        fh.write(struct.pack("<IIQ", _VERSION, x.shape[1], x.shape[0]))
-        fh.write(x.astype("<f4").tobytes())
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("expected a 2-D array of vectors with dim >= 1")
     if ids is not None:
         ids = np.asarray(ids, dtype=np.uint64)
-        if len(ids) != x.shape[0]:
+        if ids.shape != (x.shape[0],):
             raise ValueError("ids length must match row count")
-        with open(str(path) + ".ids", "wb") as fh:
+    header = struct.pack("<IQ", x.shape[1], x.shape[0])
+    write_container(path, _VEC_MAGIC, [header, x.astype("<f4").tobytes()])
+    ids_path = f"{os.fspath(path)}.ids"
+    if ids is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(ids_path)
+    else:
+        with atomic_open(ids_path, "wb") as fh:
             fh.write(ids.astype("<u8").tobytes())
 
 
 def read_vectors(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header_end = 4 + 4 + 4 + 8
-    if len(data) < header_end:
-        raise CorruptFile(0, "file shorter than header")
-    if data[:4] != _VEC_MAGIC:
-        raise CorruptFile(0, "bad magic")
-    version, dim, count = struct.unpack("<IIQ", data[4:header_end])
-    if version != _VERSION:
-        raise CorruptFile(4, "unsupported version")
-    payload = data[header_end:]
-    if len(payload) != dim * count * 4:
-        raise CorruptFile(header_end, "payload length does not match header")
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
-    ids_path = str(path) + ".ids"
-    if os.path.exists(ids_path):
-        with open(ids_path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) != count * 8:
-            raise CorruptFile(0, "ids file length does not match vector count")
-        ids = np.frombuffer(raw, dtype="<u8").copy()
-    else:
-        ids = np.arange(count, dtype=np.uint64)
+    r = open_container(path, _VEC_MAGIC)
+    dim, count = r.unpack("<IQ")
+    if dim == 0:
+        raise r.error(8, "dim is 0")
+    vectors = r.array("<f4", (count, dim))
+    r.end()
+    ids_path = f"{os.fspath(path)}.ids"
+    if not os.path.exists(ids_path):
+        return vectors, np.arange(count, dtype=np.uint64)
+    r = Reader(ids_path)
+    ids = r.array("<u8", (count,))
+    r.end()
     return vectors, ids
 
 
@@ -194,52 +279,27 @@ _ARCH_TAGS = {encoder.LINEAR: 0, encoder.MLP1: 1}
 
 
 def save_model(path, model: encoder.DualTowerModel) -> None:
-    parts = [_MODEL_MAGIC, struct.pack("<I", _VERSION),
-             bytes([_ARCH_TAGS[model.arch], int(model.normalize_output)]),
-             struct.pack("<III", model.input_dim, model.output_dim,
-                         model.hidden_dim)]
-    for params in (model.params_q, model.params_i):
-        for name in model.param_names():
-            parts.append(params[name].astype("<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    header = struct.pack("<BBIII", _ARCH_TAGS[model.arch],
+                         int(model.normalize_output), model.input_dim,
+                         model.output_dim, model.hidden_dim)
+    params = [tower[name].astype("<f4").tobytes()
+              for tower in (model.params_q, model.params_i)
+              for name in model.param_names()]
+    write_container(path, _MODEL_MAGIC, [header] + params)
 
 
 def load_model(path) -> encoder.DualTowerModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 22:
-        raise CorruptFile(0, "file shorter than header")
-    if data[:4] != _MODEL_MAGIC:
-        raise CorruptFile(0, "bad magic")
-    version, = struct.unpack("<I", data[4:8])
-    if version != _VERSION:
-        raise CorruptFile(4, "unsupported version")
-    arch_tag, norm = data[8], data[9]
-    archs = {v: k for k, v in _ARCH_TAGS.items()}
-    if arch_tag not in archs:
-        raise CorruptFile(8, "unknown arch tag")
-    arch = archs[arch_tag]
-    input_dim, output_dim, hidden_dim = struct.unpack("<III", data[10:22])
+    r = open_container(path, _MODEL_MAGIC)
+    arch = r.tag(_ARCH_TAGS)
+    norm, input_dim, output_dim, hidden_dim = r.unpack("<BIII")
     if arch == encoder.LINEAR:
         shapes = {"W": (output_dim, input_dim)}
     else:
         shapes = {"W1": (hidden_dim, input_dim), "b1": (hidden_dim,),
                   "W2": (output_dim, hidden_dim), "b2": (output_dim,)}
-    offset = 22
-    towers = []
-    for _ in range(2):
-        params = {}
-        for name, shape in shapes.items():
-            size = int(np.prod(shape)) * 4
-            if offset + size > len(data):
-                raise CorruptFile(offset, "truncated parameter block")
-            params[name] = np.frombuffer(
-                data[offset:offset + size], dtype="<f4").reshape(shape).copy()
-            offset += size
-        towers.append(params)
-    if offset != len(data):
-        raise CorruptFile(offset, "trailing bytes")
+    towers = [{name: r.array("<f4", shape) for name, shape in shapes.items()}
+              for _ in range(2)]
+    r.end()
     return encoder.DualTowerModel(arch, input_dim, output_dim, hidden_dim,
                                   bool(norm), towers[0], towers[1])
 
@@ -248,61 +308,62 @@ def load_model(path) -> encoder.DualTowerModel:
 # Qrels, runs, history
 
 
+def _tsv_rows(path, n_fields):
+    """(line number, fields) for each non-empty line of a UTF-8 TSV file."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if "\ufffd" in line:
+                raise ParseError(lineno, "not valid UTF-8")
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            if len(fields) != n_fields:
+                raise ParseError(lineno,
+                                 f"expected {n_fields} tab-separated fields")
+            yield lineno, fields
+
+
 def write_qrels(path, qrels) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for qid in sorted(qrels):
             for item in sorted(qrels[qid]):
                 fh.write(f"{qid}\t{item}\t{qrels[qid][item]}\n")
 
 
 def read_qrels(path):
-    qrels = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(lineno, "expected 3 tab-separated fields")
-            try:
-                qid, item, grade = int(fields[0]), int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(lineno, "non-integer field") from None
-            if qid in qrels and item in qrels[qid]:
-                raise DuplicateQrel(lineno)
-            qrels.setdefault(qid, {})[item] = grade
-    return qrels
+    qrels = defaultdict(dict)
+    for lineno, fields in _tsv_rows(path, 3):
+        try:
+            qid, item, grade = map(int, fields)
+        except ValueError:
+            raise ParseError(lineno, "non-integer field") from None
+        if item in qrels[qid]:
+            raise DuplicateQrel(lineno)
+        qrels[qid][item] = grade
+    return dict(qrels)
 
 
 def write_run(path, run_rows) -> None:
     """run_rows: iterable of (query_id, rank, item_id, score)."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for qid, rank, item, score in run_rows:
             fh.write(f"{qid}\t{rank}\t{item}\t{score:.6g}\n")
 
 
 def read_run(path):
-    run = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(lineno, "expected 4 tab-separated fields")
-            try:
-                qid, rank, item = int(fields[0]), int(fields[1]), int(fields[2])
-                float(fields[3])
-            except ValueError:
-                raise ParseError(lineno, "malformed field") from None
-            run.setdefault(qid, []).append((rank, item))
+    run = defaultdict(list)
+    for lineno, fields in _tsv_rows(path, 4):
+        try:
+            qid, rank, item = map(int, fields[:3])
+            float(fields[3])
+        except ValueError:
+            raise ParseError(lineno, "malformed field") from None
+        run[qid].append((rank, item))
     return {qid: [item for _, item in sorted(pairs)] for qid, pairs in run.items()}
 
 
 def write_history_csv(path, history) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch,loss_original,loss_swap,loss_total\n")
         for epoch, l_o, l_s, l_t in history:
             fh.write(f"{epoch},{l_o:.6g},{l_s:.6g},{l_t:.6g}\n")

@@ -67,8 +67,8 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-10,
                        max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
 
-    Iterates until the off-diagonal Frobenius mass falls below tol. Returns
-    eigenvalues in ascending order.
+    Iterates until the off-diagonal Frobenius mass, summed from the entries
+    themselves, falls below tol. Returns eigenvalues in ascending order.
     """
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -77,7 +77,7 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-10,
     if n == 1:
         return a.reshape(1).copy()
     for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(a ** 2) - np.sum(np.diag(a) ** 2), 0.0))
+        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
         if off < tol:
             break
         for p in range(n - 1):

@@ -43,16 +43,14 @@ class DuplicateItem(SciError):
     pass
 
 
-class CorruptIndex(SciError):
-    def __init__(self, offset: int, reason: str = ""):
-        super().__init__(f"corrupt index file at byte {offset}: {reason}")
-        self.offset = offset
-
-
 class CorruptFile(SciError):
     def __init__(self, offset: int, reason: str = ""):
         super().__init__(f"corrupt file at byte {offset}: {reason}")
         self.offset = offset
+
+
+class CorruptIndex(CorruptFile):
+    """A corrupt .scix index file."""
 
 
 class DuplicateQrel(SciError):

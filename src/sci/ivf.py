@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import encoder
+from . import data_io, encoder
 from .clustering import Centroids, assign, assign_batch, kmeans
 from .core import pairwise_sq_dists
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
@@ -30,7 +30,6 @@ RESIDUAL_REPR = "repr"
 RESIDUAL_STRUCT = "struct"
 
 _MAGIC = b"SCIX"
-_VERSION = 1
 
 
 @dataclass
@@ -172,113 +171,64 @@ _MODE_TAGS = {STANDARD: 0, CI: 1}
 _RESID_TAGS = {RESIDUAL_REPR: 0, RESIDUAL_STRUCT: 1}
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise CorruptIndex(self.offset, "truncated")
-        out = self.data[self.offset:self.offset + n]
-        self.offset += n
-        return out
-
-    def u8(self):
-        return self.take(1)[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self):
-        return struct.unpack("<d", self.take(8))[0]
-
-    def f32_array(self, count, shape):
-        raw = self.take(4 * count)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-
 def save(index: IvfIndex, path) -> None:
     pq_m = index.codebook.m if index.variant == PQ else 0
-    parts = [_MAGIC, struct.pack("<I", _VERSION),
-             bytes([_VARIANT_TAGS[index.variant],
-                    _MODE_TAGS[index.mode],
-                    pq_m,
-                    _RESID_TAGS[index.residual_space]]),
-             struct.pack("<II", index.dim, index.nlist),
-             struct.pack("<Q", index.n_items),
+    parts = [struct.pack("<BBBBIIQ", _VARIANT_TAGS[index.variant],
+                         _MODE_TAGS[index.mode], pq_m,
+                         _RESID_TAGS[index.residual_space], index.dim,
+                         index.nlist, index.n_items),
              index.centroids.centers.astype("<f4").tobytes(),
-             struct.pack("<d", index.centroids.inertia),
-             struct.pack("<I", index.centroids.iterations_run)]
-    for j in range(index.nlist):
-        ids = index.list_ids[j]
-        parts.append(struct.pack("<Q", len(ids)))
-        parts.append(ids.astype("<u8").tobytes())
-        if index.variant == FLAT:
-            parts.append(index.list_payload[j].astype("<f4").tobytes())
-        else:
-            parts.append(index.list_payload[j].astype(np.uint8).tobytes())
+             struct.pack("<dI", index.centroids.inertia,
+                         index.centroids.iterations_run)]
+    dtype = "<f4" if index.variant == FLAT else np.uint8
+    for ids, payload in zip(index.list_ids, index.list_payload):
+        parts += [struct.pack("<Q", len(ids)), ids.astype("<u8").tobytes(),
+                  payload.astype(dtype).tobytes()]
     if index.variant == PQ:
         cb = index.codebook
-        parts.append(struct.pack("<I", cb.ksub))
-        parts.append(cb.codebooks.astype("<f4").tobytes())
-        parts.append(cb.train_mse.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        parts += [struct.pack("<I", cb.ksub),
+                  cb.codebooks.astype("<f4").tobytes(),
+                  cb.train_mse.astype("<f8").tobytes()]
+    data_io.write_container(path, _MAGIC, parts)
 
 
 def load(path) -> IvfIndex:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if len(r.data) < 4 or r.take(4) != _MAGIC:
-        raise CorruptIndex(0, "bad magic")
-    if r.u32() != _VERSION:
-        raise CorruptIndex(4, "unsupported version")
-    tag_offset = r.offset
-    variant_tag, mode_tag, pq_m, space_tag = (r.u8(), r.u8(), r.u8(), r.u8())
-    variants = {v: k for k, v in _VARIANT_TAGS.items()}
-    modes = {v: k for k, v in _MODE_TAGS.items()}
-    spaces = {v: k for k, v in _RESID_TAGS.items()}
-    if variant_tag not in variants or mode_tag not in modes \
-            or space_tag not in spaces:
-        raise CorruptIndex(tag_offset, "unknown variant/mode/space tag")
-    variant = variants[variant_tag]
-    mode = modes[mode_tag]
-    residual_space = spaces[space_tag]
-    dim = r.u32()
-    nlist = r.u32()
-    n_items = r.u64()
-    centers = r.f32_array(nlist * dim, (nlist, dim))
-    centroids = Centroids(centers, r.f64(), r.u32())
-
+    r = data_io.open_container(path, _MAGIC, CorruptIndex)
+    variant = r.tag(_VARIANT_TAGS)
+    mode = r.tag(_MODE_TAGS)
+    pq_m, = r.unpack("<B")
+    residual_space = r.tag(_RESID_TAGS)
+    dim, nlist, n_items = r.unpack("<IIQ")
+    if dim == 0 or nlist == 0:
+        raise r.error(12 if dim == 0 else 16, "dim and nlist must be >= 1")
     if variant == PQ and (pq_m == 0 or dim % pq_m != 0):
-        raise CorruptIndex(tag_offset, f"bad PQ sub-quantizer count {pq_m}")
-    list_ids = []
-    list_payload = []
+        raise r.error(10, f"bad PQ sub-quantizer count {pq_m}")
+    centers = r.array("<f4", (nlist, dim))
+    centroids = Centroids(centers, *r.unpack("<dI"))
+    dtype, width = ("<f4", dim) if variant == FLAT else (np.uint8, pq_m)
+
+    list_ids, list_payload, payload_offsets = [], [], []
     for _ in range(nlist):
-        count = r.u64()
-        list_ids.append(np.frombuffer(r.take(8 * count), dtype="<u8").copy())
-        if variant == FLAT:
-            list_payload.append(r.f32_array(count * dim, (count, dim)))
-        else:
-            codes = np.frombuffer(r.take(pq_m * count), dtype=np.uint8)
-            list_payload.append(codes.reshape(count, pq_m).copy())
+        count, = r.unpack("<Q")
+        list_ids.append(r.array("<u8", (count,)))
+        payload_offsets.append(r.offset)
+        list_payload.append(r.array(dtype, (count, width)))
     if sum(len(i) for i in list_ids) != n_items:
-        raise CorruptIndex(r.offset, "n_items does not match list sizes")
+        raise r.error(r.offset, "n_items does not match list sizes")
 
     codebook = None
     if variant == PQ:
-        ksub = r.u32()
+        ksub, = r.unpack("<I")
         if not 1 <= ksub <= 256:
-            raise CorruptIndex(r.offset - 4, f"bad ksub {ksub}")
+            raise r.error(r.offset - 4, f"bad ksub {ksub}")
+        for offset, codes in zip(payload_offsets, list_payload):
+            bad = np.flatnonzero(codes >= ksub)
+            if len(bad):
+                raise r.error(offset + int(bad[0]), f"PQ code >= ksub {ksub}")
         sub_dim = dim // pq_m
-        codebooks = r.f32_array(pq_m * ksub * sub_dim, (pq_m, ksub, sub_dim))
-        train_mse = np.frombuffer(r.take(8 * pq_m), dtype="<f8").copy()
-        codebook = PqCodebook(pq_m, sub_dim, ksub, codebooks, train_mse)
-    if r.offset != len(r.data):
-        raise CorruptIndex(r.offset, "trailing bytes")
+        codebook = PqCodebook(pq_m, sub_dim, ksub,
+                              r.array("<f4", (pq_m, ksub, sub_dim)),
+                              r.array("<f8", (pq_m,)))
+    r.end()
     return IvfIndex(variant, mode, dim, nlist, centroids, list_ids,
                     list_payload, n_items, codebook, residual_space)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -131,6 +134,27 @@ class TestErrors:
     def test_help_is_exit_0(self):
         assert cli.run(["--help"]) == 0
 
+    def test_pq_code_not_below_ksub_is_exit_1(self, pipeline, tmp_path,
+                                              capsys):
+        path = tmp_path / "pq.scix"
+        run_ok(["build-index", "--model", pipeline["model"], "--items",
+                os.path.join(pipeline["data"], "items.sciv"), "--variant",
+                "pq", "--nlist", "4", "--pq-m", "2", "--pq-ksub", "16",
+                "--seed", "1", "--out", str(path)])
+        index = ivf.load(path)
+        assert len(index.list_ids[0]) > 0
+        data = bytearray(path.read_bytes())
+        data[28 + 4 * 4 * 8 + 12 + 8 + 8 * len(index.list_ids[0])] = 200
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert cli.run(["search", "--index", str(path), "--model",
+                        pipeline["model"], "--queries",
+                        os.path.join(pipeline["data"], "queries.sciv"),
+                        "--out", str(tmp_path / "r.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert "sci: error:" in err
+        assert "Traceback" not in err
+
     def test_corrupt_index_is_exit_1(self, pipeline, tmp_path):
         bad = tmp_path / "bad.scix"
         bad.write_bytes(b"JUNKJUNK")
@@ -138,3 +162,32 @@ class TestErrors:
                         pipeline["model"], "--queries",
                         os.path.join(pipeline["data"], "queries.sciv"),
                         "--out", str(tmp_path / "r.tsv")]) == 1
+
+
+class TestThreadCap:
+    def test_cap_is_set_before_numpy_loads(self):
+        # Records the BLAS thread variable at the moment numpy is first
+        # imported, which is when the BLAS library reads it.
+        script = textwrap.dedent("""
+            import os, sys
+            seen = []
+
+            class Spy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+                    return None
+
+            sys.meta_path.insert(0, Spy())
+            import sci.cli
+            print(seen[0])
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        env["SCI_THREADS"] = "1"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "1"

@@ -1,3 +1,7 @@
+import os
+import stat
+import struct
+
 import numpy as np
 import pytest
 
@@ -117,6 +121,69 @@ class TestVectorFiles:
         with pytest.raises(CorruptFile):
             data_io.read_vectors(path)
 
+    def test_zero_dim_header(self, tmp_path):
+        # dim 0 with a huge count used to pass the length check and then
+        # allocate 10**12 default ids.
+        path = tmp_path / "v.sciv"
+        path.write_bytes(b"SCIV" + struct.pack("<IIQ", 1, 0, 10**12))
+        with pytest.raises(CorruptFile) as exc:
+            data_io.read_vectors(path)
+        assert exc.value.offset == 8
+
+    def test_write_refuses_zero_dim(self, tmp_path):
+        with pytest.raises(ValueError):
+            data_io.write_vectors(tmp_path / "v.sciv", np.zeros((3, 0)))
+
+    def test_write_without_ids_removes_stale_ids(self, rng, tmp_path):
+        path = tmp_path / "v.sciv"
+        data_io.write_vectors(path, rng.normal(size=(4, 2)),
+                              np.arange(10, 14, dtype=np.uint64))
+        data_io.write_vectors(path, rng.normal(size=(4, 2)))
+        assert not os.path.exists(str(path) + ".ids")
+        _, ids = data_io.read_vectors(path)
+        assert np.array_equal(ids, np.arange(4))
+
+    def test_ids_length_mismatch(self, rng, tmp_path):
+        path = tmp_path / "v.sciv"
+        data_io.write_vectors(path, rng.normal(size=(4, 2)), np.arange(4))
+        with open(str(path) + ".ids", "ab") as fh:
+            fh.write(b"\x00" * 8)
+        with pytest.raises(CorruptFile) as exc:
+            data_io.read_vectors(path)
+        assert exc.value.offset == 32
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with data_io.atomic_open(path) as fh:
+                fh.write("new\n")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        with data_io.atomic_open(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
+
+    def test_new_file_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x")
+        atomic = tmp_path / "atomic.txt"
+        with data_io.atomic_open(atomic) as fh:
+            fh.write("x")
+        assert stat.S_IMODE(os.stat(atomic).st_mode) == \
+            stat.S_IMODE(os.stat(plain).st_mode)
+
 
 class TestModelFiles:
     def test_linear_round_trip(self, tmp_path):
@@ -139,6 +206,16 @@ class TestModelFiles:
         path = tmp_path / "m.scim"
         data_io.save_model(path, m)
         path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(CorruptFile):
+            data_io.load_model(path)
+
+    def test_dims_whose_product_overflows_int64(self, tmp_path):
+        m = mlp_model(4, 3, hidden=2, seed=1)
+        path = tmp_path / "m.scim"
+        data_io.save_model(path, m)
+        data = bytearray(path.read_bytes())
+        data[10:22] = struct.pack("<III", 0xFFFFFFFF, 3, 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
         with pytest.raises(CorruptFile):
             data_io.load_model(path)
 
@@ -177,6 +254,13 @@ class TestQrels:
         with pytest.raises(ParseError):
             data_io.read_qrels(path)
 
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "qrels.tsv"
+        path.write_bytes(b"0\t1\t1\n0\t\xff\t1\n")
+        with pytest.raises(ParseError) as exc:
+            data_io.read_qrels(path)
+        assert exc.value.line == 2
+
 
 class TestRuns:
     def test_round_trip_ordering(self, tmp_path):
@@ -191,6 +275,13 @@ class TestRuns:
         path.write_text("0\tone\t2\t0.5\n")
         with pytest.raises(ParseError):
             data_io.read_run(path)
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        path.write_bytes(b"0\t1\t2\t0.5\n\n0\t2\t\x80\t0.25\n")
+        with pytest.raises(ParseError) as exc:
+            data_io.read_run(path)
+        assert exc.value.line == 3
 
 
 class TestHistoryCsv:

@@ -66,6 +66,26 @@ class TestJacobiEigenvalues:
     def test_one_by_one(self):
         assert diagnostics.jacobi_eigenvalues([[4.0]]) == [4.0]
 
+    def test_stops_once_converged(self, monkeypatch):
+        # A d=64 query-tower covariance as `sci diagnose` builds it, on which
+        # an off-diagonal measure of total minus diagonal mass stalls at
+        # rounding noise above tol and runs every sweep.
+        data = gen_synthetic(SyntheticSpec(3000, 300, 64, 8, 0.8, 0.5, seed=3))
+        model = encoder.init(encoder.MLP1, 64, 64, make_rng(3), hidden_dim=32)
+        pool = np.concatenate([data.query_features[:300],
+                               data.item_features[:300]])
+        cov = diagnostics._sample_cov(
+            encoder.encode_batch(model, encoder.QUERY, pool))
+        rotations = []
+        eye = np.eye
+        monkeypatch.setattr(np, "eye", lambda n: rotations.append(n) or eye(n))
+        evals = diagnostics.jacobi_eigenvalues(cov)
+        monkeypatch.undo()
+        pairs_per_sweep = 64 * 63 // 2
+        assert len(rotations) <= 15 * pairs_per_sweep
+        ref = np.linalg.eigvalsh(cov)
+        assert np.max(np.abs(evals - ref)) <= 1e-12 * ref[-1]
+
 
 class TestAnisotropy:
     def test_isotropic_cloud_cond_near_one(self, rng):

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from sci import clustering, encoder, evaluation, ivf
 from sci.core import make_rng
-from sci.errors import CorruptIndex, DuplicateItem, TooFewPoints
+from sci.errors import CorruptFile, CorruptIndex, DuplicateItem, TooFewPoints
 
 from conftest import clone_model, linear_model
 
@@ -252,3 +254,51 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CorruptIndex):
             ivf.load(path)
+
+    def test_corrupt_index_is_a_corrupt_file(self, tmp_path):
+        (tmp_path / "bad.scix").write_bytes(b"SCIX")
+        with pytest.raises(CorruptFile):
+            ivf.load(tmp_path / "bad.scix")
+
+    @staticmethod
+    def _flat_file(dim, nlist, lists):
+        """A hand-made flat .scix with zero-valued centroids and payloads."""
+        n_items = sum(len(ids) for ids in lists)
+        parts = [b"SCIX", struct.pack("<I", 1), bytes([0, 1, 0, 0]),
+                 struct.pack("<IIQ", dim, nlist, n_items),
+                 b"\x00" * (4 * nlist * dim), struct.pack("<dI", 0.0, 0)]
+        for ids in lists:
+            parts.append(struct.pack("<Q", len(ids)))
+            parts.append(np.asarray(ids, dtype="<u8").tobytes())
+            parts.append(b"\x00" * (4 * len(ids) * dim))
+        return b"".join(parts)
+
+    def test_zero_nlist(self, tmp_path):
+        path = tmp_path / "index.scix"
+        path.write_bytes(self._flat_file(4, 0, []))
+        with pytest.raises(CorruptIndex) as exc:
+            ivf.load(path)
+        assert exc.value.offset == 16
+
+    def test_zero_dim(self, tmp_path):
+        path = tmp_path / "index.scix"
+        path.write_bytes(self._flat_file(0, 1, [[7]]))
+        with pytest.raises(CorruptIndex) as exc:
+            ivf.load(path)
+        assert exc.value.offset == 12
+
+    def test_pq_code_not_below_ksub(self, rng, tmp_path):
+        m = linear_model(8, 8, seed=2)
+        index = ivf.build(m, make_items(rng, 80, 8), ivf.CI, ivf.PQ, 4,
+                          make_rng(3), pq_m=2, pq_ksub=16)
+        path = tmp_path / "index.scix"
+        ivf.save(index, path)
+        assert len(index.list_ids[0]) > 0
+        first_code = 28 + 4 * 4 * 8 + 12 + 8 + 8 * len(index.list_ids[0])
+        data = bytearray(path.read_bytes())
+        assert data[first_code] == index.list_payload[0][0, 0]
+        data[first_code] = 200
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptIndex) as exc:
+            ivf.load(path)
+        assert exc.value.offset == first_code
