@@ -35,7 +35,11 @@ DEFAULT_PQ_KSUB = 16
 
 
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t]
+    values = [int(t) for t in text.split(",") if t]
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of integers >= 1, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

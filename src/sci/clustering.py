@@ -118,20 +118,11 @@ def kmeans(vectors, k: int, max_iters: int = MAX_ITERS_DEFAULT,
                      inertia_history)
 
 
-def assign(centroids: Centroids, x) -> tuple[int, float]:
-    """Nearest center by squared L2; ties broken by lowest index."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.shape != (centroids.dim,):
-        raise DimensionMismatch(f"dim {x.shape} vs centroids dim {centroids.dim}")
-    d = pairwise_sq_dists(x.reshape(1, -1), centroids.centers)[0]
-    j = int(np.argmin(d))
-    return j, float(d[j])
-
-
 def assign_batch(centroids: Centroids, x) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center of each row by squared L2; ties broken by lowest index."""
     x = np.asarray(x, dtype=np.float32)
-    if x.shape[1] != centroids.dim:
-        raise DimensionMismatch(f"dim {x.shape[1]} vs centroids dim {centroids.dim}")
+    if x.ndim != 2 or x.shape[1] != centroids.dim:
+        raise DimensionMismatch(f"shape {x.shape} vs centroids dim {centroids.dim}")
     d = pairwise_sq_dists(x, centroids.centers)
     labels = np.argmin(d, axis=1)
     return labels, d[np.arange(x.shape[0]), labels]

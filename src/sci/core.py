@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroNorm
+from .errors import ZeroNorm
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -26,41 +26,6 @@ def as_f32(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-
-
-def dot(a, b) -> float:
-    """Inner product, accumulated in float64.
-
-    Symmetric by construction: each elementwise product commutes exactly and
-    the summation order is the same for (a, b) and (b, a).
-    """
-    a = as_f32(a)
-    b = as_f32(b)
-    _check_same_dim(a, b)
-    return float(np.dot(a.astype(np.float64), b.astype(np.float64)))
-
-
-def l2_normalize(a) -> np.ndarray:
-    """Scale to unit L2 norm. Raises ZeroNorm on a zero vector."""
-    a = as_f32(a)
-    n = float(np.sqrt(np.dot(a.astype(np.float64), a.astype(np.float64))))
-    if n == 0.0:
-        raise ZeroNorm("cannot normalize the zero vector")
-    return (a.astype(np.float64) / n).astype(np.float32)
-
-
-def squared_l2_distance(a, b) -> float:
-    """Sum of squared coordinate differences, accumulated in float64."""
-    a = as_f32(a)
-    b = as_f32(b)
-    _check_same_dim(a, b)
-    d = a.astype(np.float64) - b.astype(np.float64)
-    return float(np.dot(d, d))
 
 
 def row_normalize(x: np.ndarray) -> np.ndarray:

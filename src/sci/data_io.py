@@ -184,9 +184,14 @@ class Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype, shape) -> np.ndarray:
+        """The next array; a float array must hold only finite values."""
         dtype = np.dtype(dtype)
-        raw = self.take(math.prod(shape) * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        start = self.offset
+        a = np.frombuffer(self.take(math.prod(shape) * dtype.itemsize), dtype)
+        if dtype.kind == "f" and not np.isfinite(a).all():
+            bad = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise self.error(start + bad * dtype.itemsize, "non-finite float")
+        return a.reshape(shape).copy()
 
     def end(self) -> None:
         if self.offset != len(self.data):

@@ -128,8 +128,9 @@ def forward(params: dict, arch: str, normalize: bool, x: np.ndarray,
 
 
 def encode_batch(model: DualTowerModel, tower: str, xs) -> np.ndarray:
-    """Encode a batch of input vectors; returns an (n, output_dim) float32 array."""
-    xs = np.asarray(xs, dtype=np.float32)
+    """Encode a batch of input vectors, or one 1-D vector as a batch of one;
+    returns an (n, output_dim) float32 array. Rejects NaN/Inf inputs."""
+    xs = as_f32(xs, "input")
     if xs.ndim == 1:
         xs = xs.reshape(0, model.input_dim) if xs.size == 0 else xs.reshape(1, -1)
     if xs.shape[0] == 0:
@@ -142,11 +143,3 @@ def encode_batch(model: DualTowerModel, tower: str, xs) -> np.ndarray:
     model.encode_calls += xs.shape[0]
     return out.astype(np.float32)
 
-
-def encode(model: DualTowerModel, tower: str, x) -> np.ndarray:
-    """Encode a single input vector."""
-    x = as_f32(x)
-    if x.shape != (model.input_dim,):
-        raise DimensionMismatch(
-            f"input dim {x.shape} != model input_dim {model.input_dim}")
-    return encode_batch(model, tower, x.reshape(1, -1))[0]

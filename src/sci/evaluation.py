@@ -39,7 +39,11 @@ def _relevant(qrels, qid):
     return {item for item, grade in qrels.get(qid, {}).items() if grade >= 1}
 
 
-def _mean_over_queries(run, qrels, per_query):
+def _mean_over_queries(run, qrels, k, per_query):
+    """Mean of per_query(top-k ranked ids, relevant set, grades) over the
+    queries with a relevant item."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     values = []
     skipped = 0
     for qid in run:
@@ -47,7 +51,7 @@ def _mean_over_queries(run, qrels, per_query):
         if not rel:
             skipped += 1
             continue
-        values.append(per_query(run[qid], rel, qrels.get(qid, {})))
+        values.append(per_query(run[qid][:k], rel, qrels.get(qid, {})))
     if not values:
         return 0.0, skipped
     return float(np.mean(values)), skipped
@@ -55,23 +59,23 @@ def _mean_over_queries(run, qrels, per_query):
 
 def recall_at_k(run, qrels, k: int) -> float:
     value, _ = _mean_over_queries(
-        run, qrels, lambda ranked, rel, _: len(set(ranked[:k]) & rel) / len(rel))
+        run, qrels, k, lambda top, rel, _: len(set(top) & rel) / len(rel))
     return value
 
 
 def precision_at_k(run, qrels, k: int) -> float:
     value, _ = _mean_over_queries(
-        run, qrels, lambda ranked, rel, _: len(set(ranked[:k]) & rel) / k)
+        run, qrels, k, lambda top, rel, _: len(set(top) & rel) / k)
     return value
 
 
 def mrr_at_k(run, qrels, k: int) -> float:
-    def per_query(ranked, rel, _):
-        for rank, item in enumerate(ranked[:k], start=1):
+    def per_query(top, rel, _):
+        for rank, item in enumerate(top, start=1):
             if item in rel:
                 return 1.0 / rank
         return 0.0
-    value, _ = _mean_over_queries(run, qrels, per_query)
+    value, _ = _mean_over_queries(run, qrels, k, per_query)
     return value
 
 
@@ -80,16 +84,16 @@ def ndcg_at_k(run, qrels, k: int, graded: bool = False) -> float:
     def gain(g):
         return (2.0 ** g - 1.0) if graded else 1.0
 
-    def per_query(ranked, rel, grades):
+    def per_query(top, rel, grades):
         dcg = 0.0
-        for rank, item in enumerate(ranked[:k], start=1):
+        for rank, item in enumerate(top, start=1):
             if item in rel:
                 dcg += gain(grades[item]) / math.log2(rank + 1)
         ideal = sorted((grades[item] for item in rel), reverse=True)[:k]
         idcg = sum(gain(g) / math.log2(r + 1)
                    for r, g in enumerate(ideal, start=1))
         return dcg / idcg if idcg > 0.0 else 0.0
-    value, _ = _mean_over_queries(run, qrels, per_query)
+    value, _ = _mean_over_queries(run, qrels, k, per_query)
     return value
 
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data_io, encoder
-from .clustering import Centroids, assign, assign_batch, kmeans
+from .clustering import Centroids, assign_batch, kmeans
 from .core import pairwise_sq_dists
-from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
-                     TooFewPoints)
+from .errors import CorruptIndex, DuplicateItem, TooFewPoints
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
-                           pq_encode_batch, pq_train)
+                           pq_encode_batch, pq_reconstruct, pq_train)
 
 FLAT = "flat"
 PQ = "pq"
@@ -51,18 +50,6 @@ class IvfIndex:
 class SearchResult:
     ranked: list            # [(item_id, score)], ascending squared distance
     probed_clusters: list
-
-
-def compute_residual(e_struct, e_repr, centroids: Centroids):
-    """Assign by the structural vector, subtract the centroid from the
-    representation vector."""
-    e_struct = np.asarray(e_struct, dtype=np.float32)
-    e_repr = np.asarray(e_repr, dtype=np.float32)
-    if e_struct.shape != e_repr.shape:
-        raise DimensionMismatch(f"{e_struct.shape} vs {e_repr.shape}")
-    cid, _ = assign(centroids, e_struct)
-    r = e_repr.astype(np.float64) - centroids.centers[cid].astype(np.float64)
-    return cid, r.astype(np.float32)
 
 
 def build(model, items, mode: str, variant: str, nlist: int, rng,
@@ -101,8 +88,7 @@ def build(model, items, mode: str, variant: str, nlist: int, rng,
                      centroids.centers[labels].astype(np.float64)).astype(np.float32)
         codebook = pq_train(residuals, pq_m, pq_ksub, rng)
         codes = pq_encode_batch(codebook, residuals)
-        recon = codebook.codebooks[
-            np.arange(pq_m)[None, :], codes.astype(np.intp)].reshape(n, -1)
+        recon = pq_reconstruct(codebook, codes)
         diff = residuals.astype(np.float64) - recon.astype(np.float64)
         mean_recon = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
 
@@ -126,7 +112,8 @@ def search(index: IvfIndex, model, query_feature, nprobe: int, k: int) -> Search
     the k best by ascending squared distance (ties by ascending item id)."""
     if k < 1 or nprobe < 1:
         raise ValueError("k and nprobe must be >= 1")
-    e_q = encoder.encode(model, encoder.QUERY, query_feature)
+    e_q = encoder.encode_batch(model, encoder.QUERY,
+                               np.reshape(query_feature, (1, -1)))[0]
     c_dists = pairwise_sq_dists(e_q.reshape(1, -1), index.centroids.centers)[0]
     n_probe = min(nprobe, index.nlist)
     probed = np.lexsort((np.arange(index.nlist), c_dists))[:n_probe]

@@ -73,25 +73,15 @@ def pq_encode_batch(cb: PqCodebook, r) -> np.ndarray:
     return codes
 
 
-def pq_encode(cb: PqCodebook, r) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float32)
-    if r.shape != (cb.dim,):
-        raise DimensionMismatch(f"dim {r.shape} vs codebook dim {cb.dim}")
-    return pq_encode_batch(cb, r.reshape(1, -1))[0]
-
-
-def _check_codes(cb: PqCodebook, codes: np.ndarray):
-    if codes.shape[-1] != cb.m:
-        raise DimensionMismatch(f"code length {codes.shape[-1]} vs m={cb.m}")
+def pq_reconstruct(cb: PqCodebook, codes) -> np.ndarray:
+    """(n, m) codes -> (n, dim) float32 reconstructions."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.ndim != 2 or codes.shape[1] != cb.m:
+        raise DimensionMismatch(f"codes shape {codes.shape} vs m={cb.m}")
     if np.any(codes >= cb.ksub):
         raise CorruptCode(f"code value >= ksub ({cb.ksub})")
-
-
-def pq_reconstruct(cb: PqCodebook, code) -> np.ndarray:
-    code = np.asarray(code, dtype=np.uint8)
-    _check_codes(cb, code.reshape(1, -1)[0:1])
-    parts = cb.codebooks[np.arange(cb.m), code.reshape(-1)]
-    return parts.reshape(-1).astype(np.float32)
+    return cb.codebooks[np.arange(cb.m)[None, :],
+                        codes.astype(np.intp)].reshape(codes.shape[0], cb.dim)
 
 
 def adc_table(cb: PqCodebook, query_residual) -> np.ndarray:
@@ -106,18 +96,10 @@ def adc_table(cb: PqCodebook, query_residual) -> np.ndarray:
     return np.einsum("mks,mks->mk", diff, diff)
 
 
-def adc_distance(table: np.ndarray, code) -> float:
-    """Sum of table lookups; equals the squared distance between the query
-    residual and the code's reconstruction (up to accumulation order)."""
-    code = np.asarray(code, dtype=np.uint8)
-    m = table.shape[0]
-    if code.shape != (m,):
-        raise DimensionMismatch(f"code length {code.shape} vs table m={m}")
-    return float(table[np.arange(m), code].sum())
-
-
 def adc_distances_batch(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per-row sum of table lookups: the squared distance between the query
+    residual and each code's reconstruction (up to accumulation order)."""
     m = table.shape[0]
-    if codes.shape[1] != m:
-        raise DimensionMismatch(f"codes width {codes.shape[1]} vs table m={m}")
+    if codes.ndim != 2 or codes.shape[1] != m:
+        raise DimensionMismatch(f"codes shape {codes.shape} vs table m={m}")
     return table[np.arange(m), codes].sum(axis=1)

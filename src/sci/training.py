@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder
-from .core import as_f32
+from .core import as_f32, make_rng
 from .errors import (DegenerateTriplet, DimensionMismatch, Diverged,
                      KinkTooClose, SciError)
-from .core import make_rng
 
 CONVEX = "convex"      # (1 - lambda) * L_direct + lambda * L_swap
 ADDITIVE = "additive"  # L_direct + lambda * L_swap
@@ -149,71 +148,46 @@ def _check_batch_dims(model, batch):
             f"batch dim {batch.queries.shape[1]} != model input_dim {model.input_dim}")
 
 
-def loss_original(model, batch: TripletBatch, delta: float) -> float:
-    """Batch-mean hinge on direct-routed embeddings."""
-    _check_batch_dims(model, batch)
-    loss, _, _, _ = _path(model.params_q, model.params_i, model.arch,
-                          model.normalize_output, batch, delta, False)
-    model.encode_calls += 3 * len(batch)
-    return loss
+def _combined(params_q, params_i, arch, normalize, batch, cfg, want_grads):
+    """The direct path, then the swap path when lambda > 0 (no forward passes
+    otherwise), weighted by `cfg.weights()`.
 
-
-def loss_swap(model, batch: TripletBatch, delta: float) -> float:
-    """Batch-mean hinge with the towers' roles exchanged."""
-    _check_batch_dims(model, batch)
-    loss, _, _, _ = _path(model.params_i, model.params_q, model.arch,
-                          model.normalize_output, batch, delta, False)
-    model.encode_calls += 3 * len(batch)
-    return loss
-
-
-def loss_total(model, batch: TripletBatch, cfg: LossConfig) -> float:
-    w_o, w_s = cfg.weights()
-    total = w_o * loss_original(model, batch, cfg.margin_delta)
-    if cfg.lambda_weight > 0.0:
-        total += w_s * loss_swap(model, batch, cfg.margin_delta)
-    return total
-
-
-def grad(model, batch: TripletBatch, cfg: LossConfig) -> GradReport:
-    """Analytic gradient of the combined loss w.r.t. both towers.
-
-    The swap path is skipped entirely (no forward passes) when lambda is 0.
+    Returns (report, hinge args per path run); the report's gradients are
+    None unless want_grads.
     """
-    _check_batch_dims(model, batch)
     w_o, w_s = cfg.weights()
-    delta = cfg.margin_delta
-    arch, norm = model.arch, model.normalize_output
-
-    l_orig, _, g_q_o, g_i_o = _path(model.params_q, model.params_i,
-                                    arch, norm, batch, delta, True)
-    model.encode_calls += 3 * len(batch)
-    grad_q = _zeros_like_params(model.params_q)
-    grad_i = _zeros_like_params(model.params_i)
-    _accumulate(grad_q, g_q_o, w_o)
-    _accumulate(grad_i, g_i_o, w_o)
+    l_orig, args_o, g_q_o, g_i_o = _path(params_q, params_i, arch, normalize,
+                                         batch, cfg.margin_delta, want_grads)
+    args = [args_o]
+    grad_q = grad_i = None
+    if want_grads:
+        grad_q = _zeros_like_params(params_q)
+        grad_i = _zeros_like_params(params_i)
+        _accumulate(grad_q, g_q_o, w_o)
+        _accumulate(grad_i, g_i_o, w_o)
 
     l_swap = 0.0
     if cfg.lambda_weight > 0.0:
-        l_swap, _, g_i_s, g_q_s = _path(model.params_i, model.params_q,
-                                        arch, norm, batch, delta, True)
-        model.encode_calls += 3 * len(batch)
-        _accumulate(grad_i, g_i_s, w_s)
-        _accumulate(grad_q, g_q_s, w_s)
+        l_swap, args_s, g_i_s, g_q_s = _path(params_i, params_q, arch,
+                                             normalize, batch,
+                                             cfg.margin_delta, want_grads)
+        args.append(args_s)
+        if want_grads:
+            _accumulate(grad_i, g_i_s, w_s)
+            _accumulate(grad_q, g_q_s, w_s)
 
     total = w_o * l_orig + w_s * l_swap
-    return GradReport(grad_q, grad_i, total, l_orig, l_swap)
+    return GradReport(grad_q, grad_i, total, l_orig, l_swap), args
 
 
-def _loss_from_params(params_q, params_i, arch, normalize, batch, cfg):
-    w_o, w_s = cfg.weights()
-    l_o, _, _, _ = _path(params_q, params_i, arch, normalize, batch,
-                         cfg.margin_delta, False)
-    l_s = 0.0
-    if cfg.lambda_weight > 0.0:
-        l_s, _, _, _ = _path(params_i, params_q, arch, normalize, batch,
-                             cfg.margin_delta, False)
-    return w_o * l_o + w_s * l_s
+def grad(model, batch: TripletBatch, cfg: LossConfig) -> GradReport:
+    """Analytic gradient of the combined loss w.r.t. both towers, with the
+    direct, swap and combined loss values."""
+    _check_batch_dims(model, batch)
+    report, args = _combined(model.params_q, model.params_i, model.arch,
+                             model.normalize_output, batch, cfg, True)
+    model.encode_calls += 3 * len(batch) * len(args)
+    return report
 
 
 def grad_check(model, batch: TripletBatch, cfg: LossConfig, h: float) -> float:
@@ -226,13 +200,11 @@ def grad_check(model, batch: TripletBatch, cfg: LossConfig, h: float) -> float:
         raise ValueError("h must be positive")
     _check_batch_dims(model, batch)
     arch, norm = model.arch, model.normalize_output
-    _, args_o, _, _ = _path(model.params_q, model.params_i, arch, norm,
-                            batch, cfg.margin_delta, False)
-    args = [args_o]
-    if cfg.lambda_weight > 0.0:
-        _, args_s, _, _ = _path(model.params_i, model.params_q, arch, norm,
-                                batch, cfg.margin_delta, False)
-        args.append(args_s)
+
+    def loss(params_q, params_i):
+        return _combined(params_q, params_i, arch, norm, batch, cfg, False)
+
+    _, args = loss(model.params_q, model.params_i)
     if min(float(np.min(np.abs(a))) for a in args) <= 10.0 * h:
         raise KinkTooClose("a hinge argument lies within 10h of 0")
 
@@ -247,9 +219,9 @@ def grad_check(model, batch: TripletBatch, cfg: LossConfig, h: float) -> float:
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                lp = _loss_from_params(base_q, base_i, arch, norm, batch, cfg)
+                lp = loss(base_q, base_i)[0].loss_value
                 flat[idx] = orig - h
-                lm = _loss_from_params(base_q, base_i, arch, norm, batch, cfg)
+                lm = loss(base_q, base_i)[0].loss_value
                 flat[idx] = orig
                 numeric = (lp - lm) / (2.0 * h)
                 a = a_flat[idx]

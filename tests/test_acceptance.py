@@ -15,7 +15,7 @@ import pytest
 
 from sci import (cli, data_io, diagnostics, encoder, evaluation, ivf,
                  quantization, training)
-from sci.core import make_rng, squared_l2_distance
+from sci.core import make_rng, pairwise_sq_dists
 from sci.errors import KinkTooClose
 
 from conftest import clone_model, linear_model, mlp_model, random_batch
@@ -87,10 +87,10 @@ def test_criterion_02_linear_closed_form():
         batch = training.TripletBatch(q[None], pos[None], neg[None])
         cfg = training.LossConfig(0.5, 0.3, training.ADDITIVE)
         # both hinges must be active for the closed form to hold
-        if training.loss_original(m, batch, 0.5) == 0.0 or \
-                training.loss_swap(m, batch, 0.5) == 0.0:
+        report = training.grad(m, batch, cfg)
+        if report.loss_original == 0.0 or report.loss_swap == 0.0:
             continue
-        analytic = training.grad(m, batch, cfg).grad_q["W"]
+        analytic = report.grad_q["W"]
         closed = training.linear_grad_closed_form(
             m.params_q["W"], m.params_i["W"], q, pos, neg, 0.3)
         err = float(np.max(np.abs(analytic - closed.astype(np.float64))))
@@ -261,7 +261,7 @@ def test_criterion_05_index_exactness():
         for feat in data.query_features:
             got = ivf.search(index, m, feat, 16, 10)
             ref = evaluation.brute_force_search(
-                corpus, encoder.encode(m, encoder.QUERY, feat), 10)
+                corpus, encoder.encode_batch(m, encoder.QUERY, feat)[0], 10)
             assert got.ranked == ref.ranked
     _report("criterion 5", "IVF-Flat nprobe=nlist == brute force, same ids "
             "and order, 200 queries x both modes")
@@ -278,11 +278,12 @@ def test_criterion_06_pq_adc_identities():
     worst = 0.0
     for _ in range(1000):
         qr = rng.normal(size=16).astype(np.float32)
-        code = quantization.pq_encode(
-            cb, rng.normal(size=16).astype(np.float32))
+        codes = quantization.pq_encode_batch(
+            cb, rng.normal(size=(1, 16)).astype(np.float32))
         table = quantization.adc_table(cb, qr)
-        via_table = quantization.adc_distance(table, code)
-        direct = squared_l2_distance(qr, quantization.pq_reconstruct(cb, code))
+        via_table = quantization.adc_distances_batch(table, codes)[0]
+        direct = pairwise_sq_dists(
+            qr[None], quantization.pq_reconstruct(cb, codes))[0, 0]
         rel = abs(via_table - direct) / max(direct, 1e-12)
         assert rel < 1e-5
         worst = max(worst, rel)
@@ -291,11 +292,12 @@ def test_criterion_06_pq_adc_identities():
                                 2, 8, make_rng(2))
     for _ in range(50):
         r = rng.normal(size=6).astype(np.float32)
-        code = quantization.pq_encode(cb2, r)
+        code = quantization.pq_encode_batch(cb2, r[None])[0]
         best = min(itertools.product(range(8), repeat=2),
-                   key=lambda c: squared_l2_distance(
-                       r, np.concatenate([cb2.codebooks[0, c[0]],
-                                          cb2.codebooks[1, c[1]]])))
+                   key=lambda c: pairwise_sq_dists(
+                       r[None], np.concatenate([cb2.codebooks[0, c[0]],
+                                                cb2.codebooks[1, c[1]]])[None]
+                   )[0, 0])
         assert tuple(code) == best
     _report("criterion 6",
             f"ADC == reconstruct-and-measure, 1000 trials, max rel err "
@@ -315,7 +317,7 @@ def _oracle_qrels(m, data):
     qrels = {}
     for qid, feat in zip(data.query_ids.tolist(), data.query_features):
         top = evaluation.brute_force_search(
-            corpus, encoder.encode(m, encoder.QUERY, feat), 10)
+            corpus, encoder.encode_batch(m, encoder.QUERY, feat)[0], 10)
         qrels[qid] = {i: 1 for i, _ in top.ranked}
     return qrels
 

@@ -1,9 +1,12 @@
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from sci import cli, data_io, ivf
@@ -162,6 +165,88 @@ class TestErrors:
                         pipeline["model"], "--queries",
                         os.path.join(pipeline["data"], "queries.sciv"),
                         "--out", str(tmp_path / "r.tsv")]) == 1
+
+
+class TestNonFiniteInputs:
+    """A NaN in any input file fails the command with exit 1 and the byte
+    offset of the bad value, instead of flowing into the outputs."""
+
+    @pytest.fixture
+    def nan_data(self, pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        items, ids = data_io.read_vectors(data / "items.sciv")
+        items[3, 5] = np.nan
+        data_io.write_vectors(data / "items.sciv", items, ids)
+        return data, 20 + 4 * (3 * 8 + 5)
+
+    def _fails_at(self, capsys, argv, offset):
+        capsys.readouterr()
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"corrupt file at byte {offset}:" in err
+        assert "non-finite" in err and "Traceback" not in err
+
+    def test_build_index(self, pipeline, nan_data, tmp_path, capsys):
+        data, offset = nan_data
+        self._fails_at(capsys, ["build-index", "--model", pipeline["model"],
+                                "--items", str(data / "items.sciv"),
+                                "--nlist", "4", "--out",
+                                str(tmp_path / "i.scix")], offset)
+        assert not (tmp_path / "i.scix").exists()
+
+    def test_sweep(self, pipeline, nan_data, tmp_path, capsys):
+        data, offset = nan_data
+        self._fails_at(capsys, ["sweep", "--model", pipeline["model"],
+                                "--items", str(data / "items.sciv"),
+                                "--queries", str(data / "queries.sciv"),
+                                "--qrels", str(data / "qrels.tsv"),
+                                "--nlist", "4", "--out",
+                                str(tmp_path / "s.csv")], offset)
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_diagnose(self, pipeline, nan_data, tmp_path, capsys):
+        data, offset = nan_data
+        self._fails_at(capsys, ["diagnose", "--model", pipeline["model"],
+                                "--data", str(data), "--out",
+                                str(tmp_path / "d.json")], offset)
+        assert not (tmp_path / "d.json").exists()
+
+    def test_search_with_nan_in_index(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "index.scix"
+        data = bytearray(open(pipeline["index"], "rb").read())
+        first_centroid = 28  # header: magic, version, 4 tags, dim, nlist, n
+        data[first_centroid:first_centroid + 4] = struct.pack("<f", np.inf)
+        path.write_bytes(bytes(data))
+        self._fails_at(capsys, ["search", "--index", str(path), "--model",
+                                pipeline["model"], "--queries",
+                                os.path.join(pipeline["data"], "queries.sciv"),
+                                "--out", str(tmp_path / "r.tsv")],
+                       first_centroid)
+
+
+class TestCutoffLists:
+    @pytest.mark.parametrize("k", ["0", "-1", "1,0", ",", ""])
+    def test_eval_k_below_one_is_exit_2(self, pipeline, tmp_path, capsys, k):
+        assert cli.run(["eval", "--run", pipeline["run"], "--qrels",
+                        os.path.join(pipeline["data"], "qrels.tsv"),
+                        "--k", k, "--out", str(tmp_path / "e.csv")]) == 2
+        assert "integers >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--nprobe", "--k"])
+    def test_sweep_empty_or_zero_list_is_exit_2(self, pipeline, tmp_path,
+                                                flag):
+        for value in (",", "0"):
+            assert cli.run(["sweep", "--model", pipeline["model"], "--items",
+                            os.path.join(pipeline["data"], "items.sciv"),
+                            "--queries",
+                            os.path.join(pipeline["data"], "queries.sciv"),
+                            "--qrels",
+                            os.path.join(pipeline["data"], "qrels.tsv"),
+                            flag, value, "--out",
+                            str(tmp_path / "s.csv")]) == 2
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestThreadCap:

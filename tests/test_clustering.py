@@ -83,35 +83,37 @@ class TestAssign:
 
     def test_exact_center(self):
         c = self._centroids()
-        j, d = clustering.assign(c, [5.0, 5.0])
-        assert (j, d) == (5, 0.0)
+        labels, d = clustering.assign_batch(c, [[5.0, 5.0]])
+        assert (labels[0], d[0]) == (5, 0.0)
 
     def test_tie_break_lowest_index(self):
         c = self._centroids()
         # (2, 0) is equidistant from centers 1 and 2.
-        j, _ = clustering.assign(c, [2.0, 0.0])
-        assert j == 1
+        labels, _ = clustering.assign_batch(c, [[2.0, 0.0]])
+        assert labels[0] == 1
 
     def test_matches_linear_scan(self, rng):
         c = self._centroids()
         for _ in range(20):
             x = rng.normal(size=2).astype(np.float32) * 3.0
-            j, d = clustering.assign(c, x)
+            labels, d = clustering.assign_batch(c, [x])
             dists = [float(np.sum((x.astype(np.float64) -
                                    ctr.astype(np.float64)) ** 2))
                      for ctr in c.centers]
-            assert j == int(np.argmin(dists))
-            assert d == pytest.approx(min(dists), rel=1e-12)
+            assert labels[0] == int(np.argmin(dists))
+            assert d[0] == pytest.approx(min(dists), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            clustering.assign(self._centroids(), [1.0, 2.0, 3.0])
+            clustering.assign_batch(self._centroids(), [[1.0, 2.0, 3.0]])
+        with pytest.raises(DimensionMismatch):
+            clustering.assign_batch(self._centroids(), [1.0, 2.0])
 
     def test_batch_matches_scalar(self, rng):
         c = self._centroids()
         xs = rng.normal(size=(15, 2)).astype(np.float32)
         labels, dists = clustering.assign_batch(c, xs)
         for i, x in enumerate(xs):
-            j, d = clustering.assign(c, x)
-            assert labels[i] == j
-            assert dists[i] == d
+            j, d = clustering.assign_batch(c, x[None])
+            assert labels[i] == j[0]
+            assert dists[i] == d[0]

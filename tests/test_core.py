@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sci import core
-from sci.errors import DimensionMismatch, ZeroNorm
+from sci.errors import ZeroNorm
 
 
 class TestMakeRng:
@@ -29,64 +29,46 @@ class TestAsF32:
             core.as_f32([float("inf")])
 
 
-class TestDot:
-    def test_identity_case(self):
-        assert core.dot([1, 0, 0], [1, 0, 0]) == 1.0
-
-    def test_direct_arithmetic(self):
-        assert core.dot([1, 2], [3, 4]) == 11.0
-
-    def test_matches_naive_summation(self, rng):
-        a = rng.normal(size=16).astype(np.float32)
-        b = rng.normal(size=16).astype(np.float32)
-        naive = 0.0
-        for x, y in zip(a, b):
-            naive += float(x) * float(y)
-        assert core.dot(a, b) == pytest.approx(naive, rel=1e-6)
-
-    def test_symmetric(self, rng):
-        a = rng.normal(size=64).astype(np.float32)
-        b = rng.normal(size=64).astype(np.float32)
-        assert core.dot(a, b) == core.dot(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            core.dot([1, 2], [1, 2, 3])
-
-
 class TestL2Normalize:
+    """One vector is normalized as a one-row batch."""
+
     def test_three_four_five(self):
-        assert np.allclose(core.l2_normalize([3.0, 4.0]), [0.6, 0.8])
+        assert np.allclose(core.row_normalize(np.array([[3.0, 4.0]])),
+                           [[0.6, 0.8]])
 
     def test_unit_vector_unchanged(self):
-        v = np.array([0.0, 1.0], dtype=np.float32)
-        assert np.allclose(core.l2_normalize(v), v)
+        v = np.array([[0.0, 1.0]])
+        assert np.allclose(core.row_normalize(v), v)
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroNorm):
-            core.l2_normalize([0.0, 0.0])
+            core.row_normalize(np.array([[0.0, 0.0]]))
 
     def test_unit_norm_property(self, rng):
         for _ in range(20):
-            v = rng.normal(size=8)
-            n = np.linalg.norm(core.l2_normalize(v).astype(np.float64))
+            v = rng.normal(size=(1, 8))
+            n = np.linalg.norm(core.row_normalize(v)[0])
             assert n == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSquaredL2Distance:
+    """One distance is a 1 x 1 pairwise_sq_dists."""
+
     def test_identical_is_zero(self, rng):
-        a = rng.normal(size=8).astype(np.float32)
-        assert core.squared_l2_distance(a, a) == 0.0
+        a = rng.normal(size=(1, 8)).astype(np.float32)
+        assert core.pairwise_sq_dists(a, a)[0, 0] == 0.0
 
     def test_direct_arithmetic(self):
-        assert core.squared_l2_distance([0.0, 0.0], [3.0, 4.0]) == 25.0
+        assert core.pairwise_sq_dists(np.array([[0.0, 0.0]]),
+                                      np.array([[3.0, 4.0]]))[0, 0] == 25.0
 
     def test_matches_expansion_identity(self, rng):
         a = rng.normal(size=32).astype(np.float32)
         b = rng.normal(size=32).astype(np.float32)
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
         expansion = a64 @ a64 - 2.0 * (a64 @ b64) + b64 @ b64
-        assert core.squared_l2_distance(a, b) == pytest.approx(expansion, rel=1e-5)
+        assert core.pairwise_sq_dists(a[None], b[None])[0, 0] == \
+            pytest.approx(expansion, rel=1e-5)
 
 
 class TestRowNormalize:
@@ -107,8 +89,9 @@ class TestPairwiseSqDists:
         d = core.pairwise_sq_dists(x, c)
         for i in range(7):
             for j in range(3):
+                diff = x[i].astype(np.float64) - c[j].astype(np.float64)
                 assert d[i, j] == pytest.approx(
-                    core.squared_l2_distance(x[i], c[j]), rel=1e-12)
+                    sum(float(v) * float(v) for v in diff), rel=1e-12)
 
     def test_row_subset_is_bitwise_stable(self, rng):
         # Scoring a subset of rows must give the exact same numbers as

@@ -130,6 +130,16 @@ class TestVectorFiles:
             data_io.read_vectors(path)
         assert exc.value.offset == 8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, rng, tmp_path, bad):
+        x = rng.normal(size=(10, 4)).astype(np.float32)
+        x[6, 1] = bad
+        path = tmp_path / "v.sciv"
+        data_io.write_vectors(path, x)
+        with pytest.raises(CorruptFile, match="non-finite") as exc:
+            data_io.read_vectors(path)
+        assert exc.value.offset == 20 + 4 * (6 * 4 + 1)
+
     def test_write_refuses_zero_dim(self, tmp_path):
         with pytest.raises(ValueError):
             data_io.write_vectors(tmp_path / "v.sciv", np.zeros((3, 0)))
@@ -218,6 +228,16 @@ class TestModelFiles:
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptFile):
             data_io.load_model(path)
+
+    def test_non_finite_parameter(self, tmp_path):
+        m = linear_model(3, 2)
+        m.params_i["W"][1, 2] = np.nan
+        path = tmp_path / "m.scim"
+        data_io.save_model(path, m)
+        with pytest.raises(CorruptFile, match="non-finite") as exc:
+            data_io.load_model(path)
+        # header (8 + 14 bytes), the query tower's W, then row 1 of the item W
+        assert exc.value.offset == 22 + 4 * 6 + 4 * (1 * 3 + 2)
 
     def test_save_is_deterministic(self, tmp_path):
         m = linear_model(8, 4, seed=3)

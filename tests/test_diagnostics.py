@@ -27,11 +27,11 @@ class TestAlignmentError:
         gaps = []
         for q, i in pairs:
             direct = float(
-                encoder.encode(m, encoder.QUERY, q).astype(np.float64) @
-                encoder.encode(m, encoder.ITEM, i).astype(np.float64))
+                encoder.encode_batch(m, encoder.QUERY, q)[0].astype(np.float64) @
+                encoder.encode_batch(m, encoder.ITEM, i)[0].astype(np.float64))
             swapped = float(
-                encoder.encode(m, encoder.ITEM, q).astype(np.float64) @
-                encoder.encode(m, encoder.QUERY, i).astype(np.float64))
+                encoder.encode_batch(m, encoder.ITEM, q)[0].astype(np.float64) @
+                encoder.encode_batch(m, encoder.QUERY, i)[0].astype(np.float64))
             gaps.append((direct - swapped) ** 2)
         report = diagnostics.alignment_error(m, pairs)
         assert report.alignment_error == pytest.approx(np.mean(gaps), rel=1e-6)

@@ -133,6 +133,17 @@ class TestNdcg:
             pytest.approx(dcg / idcg, abs=1e-9)
 
 
+class TestCutoffValidation:
+    @pytest.mark.parametrize("metric", [evaluation.precision_at_k,
+                                        evaluation.recall_at_k,
+                                        evaluation.mrr_at_k,
+                                        evaluation.ndcg_at_k])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, metric, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            metric({0: [1, 2]}, {0: {1: 1}}, k)
+
+
 class TestSkippedQueries:
     def test_queries_without_relevance_are_skipped_not_zeroed(self):
         run = {0: [1], 1: [2]}
@@ -163,7 +174,7 @@ class TestNprobeSweep:
                           encoder.encode_batch(m, encoder.ITEM, feats)))
         qrels = {}
         for qid, f in queries:
-            e_q = encoder.encode(m, encoder.QUERY, f)
+            e_q = encoder.encode_batch(m, encoder.QUERY, f)[0]
             top = evaluation.brute_force_search(corpus, e_q, 3)
             qrels[qid] = {i: 1 for i, _ in top.ranked}
         return m, std, ci, queries, qrels

@@ -21,27 +21,37 @@ def symmetric_model(dim, seed=0):
 
 
 class TestComputeResidual:
+    """The residual `build` stores: assign the structural vector as a one-row
+    batch, subtract that centroid from the representation vector."""
+
     def _centroids(self):
         centers = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]],
                            dtype=np.float32)
         return clustering.Centroids(centers, 0.0, 0)
 
+    @staticmethod
+    def _residual(e_struct, e_repr, c):
+        labels, _ = clustering.assign_batch(c, [e_struct])
+        r = (np.asarray(e_repr, dtype=np.float32).astype(np.float64) -
+             c.centers[labels].astype(np.float64))
+        return labels[0], r[0].astype(np.float32)
+
     def test_centered_item(self):
         c = self._centroids()
-        cid, r = ivf.compute_residual([1.0, 0.0], [1.0, 0.0], c)
+        cid, r = self._residual([1.0, 0.0], [1.0, 0.0], c)
         assert cid == 0
         assert np.all(r == 0.0)
 
     def test_cross_space_arithmetic(self):
         c = self._centroids()
-        cid, r = ivf.compute_residual([2.0, 2.0], [2.1, 2.0], c)
+        cid, r = self._residual([2.0, 2.0], [2.1, 2.0], c)
         assert cid == 2
         assert np.allclose(r, [0.1, 0.0], atol=1e-6)
 
     def test_aligned_towers_match_single_space_residual(self, rng):
         c = self._centroids()
         e = rng.normal(size=2).astype(np.float32)
-        cid, r = ivf.compute_residual(e, e, c)
+        cid, r = self._residual(e, e, c)
         expected = e.astype(np.float64) - c.centers[cid].astype(np.float64)
         assert np.allclose(r, expected, atol=1e-6)
 
@@ -62,7 +72,7 @@ class TestBuild:
         assert len(index.list_ids[0]) == 30
         q = rng.normal(size=4).astype(np.float32)
         got = ivf.search(index, m, q, 1, 30)
-        e_q = encoder.encode(m, encoder.QUERY, q)
+        e_q = encoder.encode_batch(m, encoder.QUERY, q)[0]
         corpus = list(zip([i for i, _ in items],
                           encoder.encode_batch(m, encoder.ITEM,
                                                [f for _, f in items])))
@@ -133,7 +143,7 @@ class TestSearch:
                 q = rng.normal(size=5).astype(np.float32)
                 got = ivf.search(index, m, q, 8, 10)
                 ref = evaluation.brute_force_search(
-                    corpus, encoder.encode(m, encoder.QUERY, q), 10)
+                    corpus, encoder.encode_batch(m, encoder.QUERY, q)[0], 10)
                 assert got.ranked == ref.ranked
 
     def test_stored_payload_query_ranks_first(self, rng):
@@ -302,3 +312,20 @@ class TestSerialization:
         with pytest.raises(CorruptIndex) as exc:
             ivf.load(path)
         assert exc.value.offset == first_code
+
+    def test_non_finite_payload(self, rng, tmp_path):
+        m = linear_model(4, 4, seed=2)
+        index = ivf.build(m, make_items(rng, 40, 4), ivf.CI, ivf.FLAT, 2,
+                          make_rng(3))
+        path = tmp_path / "index.scix"
+        ivf.save(index, path)
+        assert len(index.list_ids[0]) > 1
+        # header 28, centroids 2 x 4 f32, inertia + iterations 12, count 8,
+        # ids; then the second row of list 0, third coordinate
+        bad = 28 + 4 * 2 * 4 + 12 + 8 + 8 * len(index.list_ids[0]) + 4 * (4 + 2)
+        data = bytearray(path.read_bytes())
+        data[bad:bad + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptIndex, match="non-finite") as exc:
+            ivf.load(path)
+        assert exc.value.offset == bad

@@ -5,7 +5,7 @@ import pytest
 
 from sci import quantization as pq
 from sci.clustering import kmeans
-from sci.core import make_rng, squared_l2_distance
+from sci.core import make_rng, pairwise_sq_dists
 from sci.errors import BadSubspaceSplit, CorruptCode, DimensionMismatch
 
 
@@ -18,13 +18,19 @@ def exact_cover_residuals(rng, m, ksub, sub_dim, repeats=4):
     return np.asarray(rows, dtype=np.float32), words
 
 
+def sq_dist(a, b):
+    """Squared L2 distance of two vectors, as a 1 x 1 pairwise_sq_dists."""
+    return float(pairwise_sq_dists(np.reshape(a, (1, -1)),
+                                   np.reshape(b, (1, -1)))[0, 0])
+
+
 class TestPqTrain:
     def test_exact_cover_zero_error(self, rng):
         residuals, _ = exact_cover_residuals(rng, m=2, ksub=4, sub_dim=3)
         cb = pq.pq_train(residuals, 2, 4, make_rng(0))
         assert np.allclose(cb.train_mse, 0.0, atol=1e-10)
-        recon = np.stack([pq.pq_reconstruct(cb, pq.pq_encode(cb, r))
-                          for r in residuals])
+        recon = np.concatenate([
+            pq.pq_reconstruct(cb, pq.pq_encode_batch(cb, [r])) for r in residuals])
         assert np.allclose(recon, residuals, atol=1e-6)
 
     def test_m1_degenerates_to_kmeans(self, rng):
@@ -63,23 +69,23 @@ class TestPqEncode:
         cb = pq.PqCodebook(4, 2, 8, words, np.zeros(4))
         target = np.concatenate([words[0, 3], words[1, 7], words[2, 0],
                                  words[3, 1]])
-        assert np.array_equal(pq.pq_encode(cb, target), [3, 7, 0, 1])
+        assert np.array_equal(pq.pq_encode_batch(cb, [target]), [[3, 7, 0, 1]])
 
     def test_zero_vector_zero_code(self):
         words = np.ones((2, 4, 3), dtype=np.float32)
         words[:, 0, :] = 0.0
         cb = pq.PqCodebook(2, 3, 4, words, np.zeros(2))
-        assert np.array_equal(pq.pq_encode(cb, np.zeros(6, dtype=np.float32)),
-                              [0, 0])
+        assert np.array_equal(
+            pq.pq_encode_batch(cb, np.zeros((1, 6), dtype=np.float32)), [[0, 0]])
 
     def test_matches_exhaustive_scan(self, rng):
         cb = pq.pq_train(rng.normal(size=(100, 8)).astype(np.float32), 2, 8,
                          make_rng(2))
         for _ in range(20):
             r = rng.normal(size=8).astype(np.float32)
-            code = pq.pq_encode(cb, r)
+            code = pq.pq_encode_batch(cb, [r])[0]
             best = min(itertools.product(range(8), repeat=2),
-                       key=lambda c: squared_l2_distance(
+                       key=lambda c: sq_dist(
                            r, np.concatenate([cb.codebooks[0, c[0]],
                                               cb.codebooks[1, c[1]]])))
             assert tuple(code) == best
@@ -90,23 +96,36 @@ class TestPqReconstruct:
         residuals, _ = exact_cover_residuals(rng, m=2, ksub=4, sub_dim=2)
         cb = pq.pq_train(residuals, 2, 4, make_rng(0))
         r = residuals[5]
-        recon = pq.pq_reconstruct(cb, pq.pq_encode(cb, r))
-        assert np.allclose(recon, r, atol=1e-6)
+        recon = pq.pq_reconstruct(cb, pq.pq_encode_batch(cb, [r]))
+        assert np.allclose(recon, [r], atol=1e-6)
 
     def test_error_within_training_distortion(self, rng):
         x = rng.normal(size=(300, 8)).astype(np.float32)
         cb = pq.pq_train(x, 2, 16, make_rng(3))
         errors = []
         for r in x:
-            recon = pq.pq_reconstruct(cb, pq.pq_encode(cb, r))
-            errors.append(squared_l2_distance(r, recon))
+            recon = pq.pq_reconstruct(cb, pq.pq_encode_batch(cb, [r]))
+            errors.append(sq_dist(r, recon))
         assert np.mean(errors) <= float(cb.train_mse.sum()) * 1.01
+
+    def test_rows_match_one_row_calls(self, rng):
+        cb = pq.pq_train(rng.normal(size=(50, 6)).astype(np.float32), 3, 4,
+                         make_rng(2))
+        codes = pq.pq_encode_batch(cb, rng.normal(size=(7, 6)).astype(np.float32))
+        recon = pq.pq_reconstruct(cb, codes)
+        assert recon.shape == (7, 6) and recon.dtype == np.float32
+        for i in range(7):
+            assert np.array_equal(recon[i:i + 1],
+                                  pq.pq_reconstruct(cb, codes[i:i + 1]))
+        assert pq.pq_reconstruct(cb, codes[:0]).shape == (0, 6)
+        with pytest.raises(DimensionMismatch):
+            pq.pq_reconstruct(cb, codes[0])
 
     def test_corrupt_code(self, rng):
         cb = pq.pq_train(rng.normal(size=(50, 4)).astype(np.float32), 2, 16,
                          make_rng(0))
         with pytest.raises(CorruptCode):
-            pq.pq_reconstruct(cb, np.array([255, 0], dtype=np.uint8))
+            pq.pq_reconstruct(cb, np.array([[255, 0]], dtype=np.uint8))
 
 
 class TestAdcTable:
@@ -134,8 +153,8 @@ class TestAdcTable:
 
 class TestAdcDistance:
     def test_all_zero_table(self):
-        assert pq.adc_distance(np.zeros((3, 4)),
-                               np.array([1, 2, 3], dtype=np.uint8)) == 0.0
+        assert pq.adc_distances_batch(
+            np.zeros((3, 4)), np.array([[1, 2, 3]], dtype=np.uint8))[0] == 0.0
 
     def test_m1_equals_direct_distance(self, rng):
         cb = pq.pq_train(rng.normal(size=(40, 4)).astype(np.float32), 1, 8,
@@ -143,8 +162,9 @@ class TestAdcDistance:
         qr = rng.normal(size=4).astype(np.float32)
         table = pq.adc_table(cb, qr)
         for code in range(8):
-            direct = squared_l2_distance(qr, cb.codebooks[0, code])
-            assert pq.adc_distance(table, np.array([code], dtype=np.uint8)) \
+            direct = sq_dist(qr, cb.codebooks[0, code])
+            assert pq.adc_distances_batch(
+                table, np.array([[code]], dtype=np.uint8))[0] \
                 == pytest.approx(direct, rel=1e-10)
 
     def test_equals_reconstruct_and_measure(self, rng):
@@ -152,11 +172,11 @@ class TestAdcDistance:
                          make_rng(6))
         for _ in range(50):
             qr = rng.normal(size=12).astype(np.float32)
-            code = pq.pq_encode_batch(
-                cb, rng.normal(size=(1, 12)).astype(np.float32))[0]
+            codes = pq.pq_encode_batch(
+                cb, rng.normal(size=(1, 12)).astype(np.float32))
             table = pq.adc_table(cb, qr)
-            via_table = pq.adc_distance(table, code)
-            direct = squared_l2_distance(qr, pq.pq_reconstruct(cb, code))
+            via_table = pq.adc_distances_batch(table, codes)[0]
+            direct = sq_dist(qr, pq.pq_reconstruct(cb, codes))
             assert via_table == pytest.approx(direct, rel=1e-5)
 
     def test_batch_matches_scalar(self, rng):
@@ -166,5 +186,5 @@ class TestAdcDistance:
                                    rng.normal(size=(10, 8)).astype(np.float32))
         table = pq.adc_table(cb, rng.normal(size=8).astype(np.float32))
         batch = pq.adc_distances_batch(table, codes)
-        for i, code in enumerate(codes):
-            assert batch[i] == pq.adc_distance(table, code)
+        for i in range(len(codes)):
+            assert batch[i] == pq.adc_distances_batch(table, codes[i:i + 1])[0]

@@ -23,6 +23,16 @@ def raw_identity_model(dim):
     return m
 
 
+def direct_loss(m, batch, delta):
+    """The direct-path hinge, as reported by `grad` (lambda 0: no swap pass)."""
+    return training.grad(m, batch, training.LossConfig(delta, 0.0)).loss_original
+
+
+def swap_loss(m, batch, delta):
+    """The swapped-path hinge, as reported by `grad`."""
+    return training.grad(m, batch, training.LossConfig(delta, 1.0)).loss_swap
+
+
 class TestLossConfig:
     def test_convex_weights(self):
         assert training.LossConfig(0.2, 0.3, "convex").weights() == (0.7, 0.3)
@@ -44,12 +54,12 @@ class TestLossOriginal:
         # S+ = 0.9, S- = 0.1, delta = 1.0 -> max(0, 1 - 0.9 + 0.1) = 0.2
         m = raw_identity_model(2)
         batch = one_triplet([1.0, 0.0], [0.9, 0.0], [0.1, 0.0])
-        assert training.loss_original(m, batch, 1.0) == pytest.approx(0.2, abs=1e-7)
+        assert direct_loss(m, batch, 1.0) == pytest.approx(0.2, abs=1e-7)
 
     def test_inactive_hinge_zero(self):
         m = raw_identity_model(2)
         batch = one_triplet([1.0, 0.0], [2.0, 0.0], [-2.0, 0.0])
-        assert training.loss_original(m, batch, 0.5) == 0.0
+        assert direct_loss(m, batch, 0.5) == 0.0
 
     def test_batch_mean_matches_per_triplet_oracle(self, rng):
         m = raw_identity_model(3)
@@ -62,7 +72,7 @@ class TestLossOriginal:
                                              ps.astype(np.float64),
                                              ns.astype(np.float64))])
         batch = training.TripletBatch(qs, ps, ns)
-        assert training.loss_original(m, batch, delta) == pytest.approx(oracle, abs=1e-6)
+        assert direct_loss(m, batch, delta) == pytest.approx(oracle, abs=1e-6)
 
 
 class TestLossSwap:
@@ -70,24 +80,23 @@ class TestLossSwap:
         m = linear_model(4, 4, seed=5)
         m.params_i = {k: v.copy() for k, v in m.params_q.items()}
         batch = random_batch(rng, 6, 4)
-        assert training.loss_swap(m, batch, 0.2) == \
-            training.loss_original(m, batch, 0.2)
+        assert swap_loss(m, batch, 0.2) == direct_loss(m, batch, 0.2)
 
     def test_inactive_hinges_zero(self):
         m = raw_identity_model(2)
         batch = one_triplet([1.0, 0.0], [2.0, 0.0], [-2.0, 0.0])
-        assert training.loss_swap(m, batch, 0.5) == 0.0
+        assert swap_loss(m, batch, 0.5) == 0.0
 
     def test_matches_explicit_routing_oracle(self, rng):
         m = linear_model(4, 3, seed=9)
         batch = random_batch(rng, 5, 4)
         delta = 0.2
-        fq = lambda x: encoder.encode(m, encoder.QUERY, x).astype(np.float64)
-        fi = lambda x: encoder.encode(m, encoder.ITEM, x).astype(np.float64)
+        fq = lambda x: encoder.encode_batch(m, encoder.QUERY, x)[0].astype(np.float64)
+        fi = lambda x: encoder.encode_batch(m, encoder.ITEM, x)[0].astype(np.float64)
         oracle = np.mean([
             max(0.0, delta - fi(q) @ fq(p) + fi(q) @ fq(n))
             for q, p, n in zip(batch.queries, batch.pos_items, batch.neg_items)])
-        assert training.loss_swap(m, batch, delta) == pytest.approx(oracle, abs=1e-6)
+        assert swap_loss(m, batch, delta) == pytest.approx(oracle, abs=1e-6)
 
 
 class TestLossTotal:
@@ -96,20 +105,25 @@ class TestLossTotal:
         batch = random_batch(rng, 4, 4)
         for mode in (training.CONVEX, training.ADDITIVE):
             cfg = training.LossConfig(0.2, 0.0, mode)
-            assert training.loss_total(m, batch, cfg) == \
-                training.loss_original(m, batch, 0.2)
+            assert training.grad(m, batch, cfg).loss_value == \
+                direct_loss(m, batch, 0.2)
 
-    def test_convex_arithmetic(self, monkeypatch):
-        monkeypatch.setattr(training, "loss_original", lambda *a: 0.2)
-        monkeypatch.setattr(training, "loss_swap", lambda *a: 0.4)
-        cfg = training.LossConfig(0.2, 0.3, training.CONVEX)
-        assert training.loss_total(None, None, cfg) == pytest.approx(0.26)
+    @staticmethod
+    def _assert_weighted_sum(rng, mode):
+        m = linear_model(4, 3, seed=3)
+        batch = random_batch(rng, 6, 4)
+        cfg = training.LossConfig(0.2, 0.3, mode)
+        report = training.grad(m, batch, cfg)
+        w_o, w_s = cfg.weights()
+        assert report.loss_original > 0.0 and report.loss_swap > 0.0
+        assert report.loss_value == \
+            w_o * report.loss_original + w_s * report.loss_swap
 
-    def test_additive_arithmetic(self, monkeypatch):
-        monkeypatch.setattr(training, "loss_original", lambda *a: 0.2)
-        monkeypatch.setattr(training, "loss_swap", lambda *a: 0.4)
-        cfg = training.LossConfig(0.2, 0.3, training.ADDITIVE)
-        assert training.loss_total(None, None, cfg) == pytest.approx(0.32)
+    def test_convex_arithmetic(self, rng):
+        self._assert_weighted_sum(rng, training.CONVEX)
+
+    def test_additive_arithmetic(self, rng):
+        self._assert_weighted_sum(rng, training.ADDITIVE)
 
 
 class TestGrad:
@@ -136,9 +150,9 @@ class TestGrad:
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = np.float32(orig + h)
-                lp = training.loss_original(m, batch, 0.2)
+                lp = direct_loss(m, batch, 0.2)
                 w[idx] = np.float32(orig - h)
-                lm = training.loss_original(m, batch, 0.2)
+                lm = direct_loss(m, batch, 0.2)
                 # Parameters are stored in float32, so the step actually
                 # applied is the rounded one.
                 step = float(np.float32(orig + h)) - float(np.float32(orig - h))
