@@ -46,7 +46,8 @@ def _kmeans_pp_init(x64, k, rng):
     centers = np.empty((k, x64.shape[1]))
     first = int(rng.integers(0, n))
     centers[0] = x64[first]
-    closest = np.einsum("ij,ij->i", x64 - centers[0], x64 - centers[0])
+    diff = x64 - centers[0]
+    closest = np.einsum("ij,ij->i", diff, diff)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -57,8 +58,8 @@ def _kmeans_pp_init(x64, k, rng):
             idx = int(np.searchsorted(np.cumsum(closest), r))
             idx = min(idx, n - 1)
         centers[j] = x64[idx]
-        d_new = np.einsum("ij,ij->i", x64 - centers[j], x64 - centers[j])
-        closest = np.minimum(closest, d_new)
+        diff = x64 - centers[j]
+        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
     return centers
 
 
@@ -105,8 +106,8 @@ def kmeans(vectors, k: int, max_iters: int = MAX_ITERS_DEFAULT,
         sums = np.zeros_like(centers)
         np.add.at(sums, labels, x64)
         new_centers = sums / counts[:, None]
-        shift = float(np.max(np.sqrt(
-            np.einsum("ij,ij->i", new_centers - centers, new_centers - centers))))
+        move = new_centers - centers
+        shift = float(np.max(np.sqrt(np.einsum("ij,ij->i", move, move))))
         centers = new_centers
         if shift < tol:
             break

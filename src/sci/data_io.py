@@ -48,12 +48,18 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        if self.n_latent_clusters < 1:
+            raise ValueError("need at least one latent cluster")
         if self.n_items < self.n_latent_clusters:
             raise ValueError("need at least one item per latent cluster")
+        if self.n_queries < 1:
+            raise ValueError("need at least one query")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         if not 0.0 <= self.tower_misalignment <= np.pi:
             raise ValueError("misalignment angle must lie in [0, pi]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
 
 
 @dataclass
@@ -246,6 +252,8 @@ def write_vectors(path, vectors, ids=None) -> None:
     x = np.asarray(vectors, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("expected a 2-D array of vectors with dim >= 1")
+    if not np.isfinite(x).all():
+        raise ValueError("vectors hold NaN or Inf")
     if ids is not None:
         ids = np.asarray(ids, dtype=np.uint64)
         if ids.shape != (x.shape[0],):

@@ -1,9 +1,9 @@
 """Representation-space diagnostics.
 
 Alignment error (mean squared gap between direct and swapped cross-tower
-similarities), covariance anisotropy (condition numbers via a cyclic Jacobi
-eigensolver), covariance compatibility (relative Frobenius gap), and
-ground-truth pair similarity statistics.
+similarities), covariance anisotropy (condition numbers from the eigenvalues
+`numpy.linalg.eigvalsh` returns), covariance compatibility (relative Frobenius
+gap), and ground-truth pair similarity statistics.
 """
 
 from __future__ import annotations
@@ -63,50 +63,6 @@ def alignment_error(model, pairs) -> AlignmentReport:
     return AlignmentReport(err, len(pairs))
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-10,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Iterates until the off-diagonal Frobenius mass, summed from the entries
-    themselves, falls below tol. Returns eigenvalues in ascending order.
-    """
-    a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n == 1:
-        return a.reshape(1).copy()
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q_idx in range(p + 1, n):
-                apq = a[p, q_idx]
-                if apq == 0.0:
-                    continue
-                diff = a[q_idx, q_idx] - a[p, p]
-                if abs(apq) < 1e-300 * abs(diff):
-                    a[p, q_idx] = a[q_idx, p] = 0.0
-                    continue
-                theta = diff / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # theta**2 would overflow
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q_idx, q_idx] = c
-                rot[p, q_idx] = s
-                rot[q_idx, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
-
-
 def _sample_cov(x: np.ndarray) -> np.ndarray:
     x = x.astype(np.float64)
     centered = x - x.mean(axis=0)
@@ -127,7 +83,7 @@ def anisotropy(model, inputs, epsilon: float = EPS_DEFAULT) -> AnisotropyReport:
     cov_i = _sample_cov(emb_i)
 
     def cond(cov):
-        evals = jacobi_eigenvalues(cov)
+        evals = np.linalg.eigvalsh(cov)
         lam_min = float(evals[0])
         lam_max = float(evals[-1])
         floored = lam_min < epsilon

@@ -53,6 +53,24 @@ class TestGenData:
         assert items.shape == (200, 8)
         assert len(ids) == 200
 
+    @pytest.mark.parametrize("flag, value", [("--queries", "0"),
+                                             ("--clusters", "0"),
+                                             ("--dim", "0"),
+                                             ("--noise", "nan"),
+                                             ("--noise", "inf")])
+    def test_invalid_spec_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        argv = ["gen-data", "--items", "40", "--queries", "10", "--dim", "4",
+                "--clusters", "4", "--misalign", "0.5", "--noise", "0.1",
+                "--out", str(out)]
+        argv[argv.index(flag) + 1] = value
+        capsys.readouterr()
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sci: error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_and_history_written(self, pipeline):
@@ -175,10 +193,11 @@ class TestNonFiniteInputs:
     def nan_data(self, pipeline, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
-        items, ids = data_io.read_vectors(data / "items.sciv")
-        items[3, 5] = np.nan
-        data_io.write_vectors(data / "items.sciv", items, ids)
-        return data, 20 + 4 * (3 * 8 + 5)
+        offset = 20 + 4 * (3 * 8 + 5)  # row 3, column 5 of 8
+        raw = bytearray((data / "items.sciv").read_bytes())
+        raw[offset:offset + 4] = struct.pack("<f", np.nan)
+        (data / "items.sciv").write_bytes(bytes(raw))
+        return data, offset
 
     def _fails_at(self, capsys, argv, offset):
         capsys.readouterr()

@@ -80,6 +80,19 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             data_io.SyntheticSpec(40, 10, 8, 4, 0.5, -0.1, 0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_queries", 0), ("n_queries", -1), ("n_latent_clusters", 0),
+        ("n_latent_clusters", -2), ("input_dim", 0), ("input_dim", -1),
+        ("noise_sigma", np.nan), ("noise_sigma", np.inf),
+        ("noise_sigma", -np.inf)])
+    def test_validation_rejects(self, field, value):
+        fields = dict(n_items=40, n_queries=10, input_dim=8,
+                      n_latent_clusters=4, tower_misalignment=0.5,
+                      noise_sigma=0.1, seed=0)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            data_io.SyntheticSpec(**fields)
+
 
 class TestVectorFiles:
     def test_round_trip_bitwise(self, rng, tmp_path):
@@ -132,13 +145,24 @@ class TestVectorFiles:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value(self, rng, tmp_path, bad):
-        x = rng.normal(size=(10, 4)).astype(np.float32)
-        x[6, 1] = bad
         path = tmp_path / "v.sciv"
-        data_io.write_vectors(path, x)
+        data_io.write_vectors(path, rng.normal(size=(10, 4)))
+        offset = 20 + 4 * (6 * 4 + 1)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = struct.pack("<f", bad)
+        path.write_bytes(bytes(data))
         with pytest.raises(CorruptFile, match="non-finite") as exc:
             data_io.read_vectors(path)
-        assert exc.value.offset == 20 + 4 * (6 * 4 + 1)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite(self, rng, tmp_path, bad):
+        x = rng.normal(size=(10, 4))
+        x[6, 1] = bad
+        path = tmp_path / "v.sciv"
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            data_io.write_vectors(path, x)
+        assert not path.exists()
 
     def test_write_refuses_zero_dim(self, tmp_path):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sci import diagnostics, encoder, training
-from sci.core import make_rng
 from sci.data_io import SyntheticSpec, gen_synthetic
 
 from conftest import linear_model
@@ -46,47 +45,6 @@ class TestAlignmentError:
             diagnostics.alignment_error(pair_model(3), [])
 
 
-class TestJacobiEigenvalues:
-    def test_diagonal_matrix(self):
-        evals = diagnostics.jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(evals, [1.0, 2.0, 3.0])
-
-    def test_matches_reference_eigensolver(self, rng):
-        for _ in range(10):
-            a = rng.normal(size=(8, 8))
-            sym = (a + a.T) / 2.0
-            ours = diagnostics.jacobi_eigenvalues(sym)
-            ref = np.linalg.eigvalsh(sym)
-            assert np.allclose(ours, ref, rtol=1e-6, atol=1e-8)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            diagnostics.jacobi_eigenvalues(np.zeros((2, 3)))
-
-    def test_one_by_one(self):
-        assert diagnostics.jacobi_eigenvalues([[4.0]]) == [4.0]
-
-    def test_stops_once_converged(self, monkeypatch):
-        # A d=64 query-tower covariance as `sci diagnose` builds it, on which
-        # an off-diagonal measure of total minus diagonal mass stalls at
-        # rounding noise above tol and runs every sweep.
-        data = gen_synthetic(SyntheticSpec(3000, 300, 64, 8, 0.8, 0.5, seed=3))
-        model = encoder.init(encoder.MLP1, 64, 64, make_rng(3), hidden_dim=32)
-        pool = np.concatenate([data.query_features[:300],
-                               data.item_features[:300]])
-        cov = diagnostics._sample_cov(
-            encoder.encode_batch(model, encoder.QUERY, pool))
-        rotations = []
-        eye = np.eye
-        monkeypatch.setattr(np, "eye", lambda n: rotations.append(n) or eye(n))
-        evals = diagnostics.jacobi_eigenvalues(cov)
-        monkeypatch.undo()
-        pairs_per_sweep = 64 * 63 // 2
-        assert len(rotations) <= 15 * pairs_per_sweep
-        ref = np.linalg.eigvalsh(cov)
-        assert np.max(np.abs(evals - ref)) <= 1e-12 * ref[-1]
-
-
 class TestAnisotropy:
     def test_isotropic_cloud_cond_near_one(self, rng):
         m = pair_model(6, normalize=False)
@@ -109,6 +67,30 @@ class TestAnisotropy:
         lam_max = float(np.linalg.eigvalsh(cov)[-1])
         assert report.cond_q == pytest.approx(lam_max / diagnostics.EPS_DEFAULT,
                                               rel=1e-4)
+
+    def test_whitened_inputs_give_squared_weight_ratio(self):
+        # Four zero-mean, orthogonal +-1 columns of a Sylvester Hadamard
+        # matrix plus a zero row: X^T X = 8 I over 9 rows, so the sample
+        # covariance is exactly I, the raw-score embedding covariance is
+        # W W^T = diag(1, 4, 9, 16) and its condition number is 16.
+        h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+        h8 = np.kron(np.kron(h2, h2), h2)
+        x = np.vstack([h8[:, 1:5], np.zeros((1, 4))]).astype(np.float32)
+        assert np.array_equal(diagnostics._sample_cov(x), np.eye(4))
+        m = pair_model(4, normalize=False)
+        m.params_q["W"] = np.diag([1.0, 2.0, 3.0, 4.0]).astype(np.float32)
+        m.params_i["W"] = np.eye(4, dtype=np.float32)
+        report = diagnostics.anisotropy(m, x)
+        assert report.cond_q == pytest.approx(16.0)
+        assert report.cond_i == pytest.approx(1.0)
+        assert not report.floored_q and not report.floored_i
+
+    def test_one_dimensional_output(self, rng):
+        m = linear_model(3, 1, seed=4, normalize=False)
+        report = diagnostics.anisotropy(m, rng.normal(size=(20, 3)))
+        assert report.cond_q == 1.0
+        assert report.cond_i == 1.0
+        assert not report.floored_q and not report.floored_i
 
     def test_identical_towers_zero_gap(self, rng):
         m = pair_model(4, symmetric=True)
