@@ -19,8 +19,10 @@ print(f"benchmark: {len(data.item_ids)} items, {len(data.query_ids)} queries, "
       f"dim {data.item_features.shape[1]}, rotation misalignment 0.8 rad")
 
 base = encoder.init("linear", 16, 16, make_rng(1000 + SEED))
-pairs = [(data.query_features[q], data.item_features[sorted(rel)[0]])
-         for q, rel in sorted(data.qrels.items())]
+# (query, first relevant item) pairs as two aligned feature arrays
+q_rows = sorted(data.qrels)
+pairs = (data.query_features[q_rows],
+         data.item_features[[min(data.qrels[q]) for q in q_rows]])
 pool = np.concatenate([data.query_features, data.item_features[:200]])
 
 models = {}
@@ -42,12 +44,12 @@ for lam in (0.3, 0.0):
 print("\ndiagnostics after training:")
 print(f"{'':24s}{'lambda=0.3':>12s}{'lambda=0':>12s}")
 rows = [
-    ("alignment error", lambda m: diagnostics.alignment_error(m, pairs)
+    ("alignment error", lambda m: diagnostics.alignment_error(m, *pairs)
      .alignment_error),
     ("cov Frobenius gap", lambda m: diagnostics.anisotropy(m, pool)
      .cov_fro_gap),
     ("pair mean similarity", lambda m: diagnostics.pair_similarity_stats(
-        m, pairs).mean),
+        m, *pairs).mean),
 ]
 for name, fn in rows:
     print(f"{name:24s}{fn(models[0.3]):>12.4f}{fn(models[0.0]):>12.4f}")

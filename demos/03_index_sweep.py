@@ -19,16 +19,15 @@ cfg = training.TrainConfig(3, 0.01, SEED,
 model, _ = training.train(model, data.triplets, cfg)
 print("model trained briefly (3 epochs), towers still partially misaligned")
 
-items = list(zip(data.item_ids.tolist(), data.item_features))
-queries = list(zip(data.query_ids.tolist(), data.query_features))
-std = ivf.build(model, items, ivf.STANDARD, ivf.FLAT, 16, make_rng(SEED))
-ci = ivf.build(model, items, ivf.CI, ivf.FLAT, 16, make_rng(SEED))
+items = data.item_ids, data.item_features
+std = ivf.build(model, *items, ivf.STANDARD, ivf.FLAT, 16, make_rng(SEED))
+ci = ivf.build(model, *items, ivf.CI, ivf.FLAT, 16, make_rng(SEED))
 
 nprobes = [1, 2, 4, 8, 16]
-sweep = evaluation.nprobe_sweep(std, ci, model, queries, data.qrels,
-                                nprobes, [10])
+sweep = evaluation.nprobe_sweep(std, ci, model, data.query_ids,
+                                data.query_features, data.qrels, nprobes, [10])
 
-print(f"\nRecall@10 by probes ({len(items)} items, nlist = 16):")
+print(f"\nRecall@10 by probes ({len(data.item_ids)} items, nlist = 16):")
 print(f"{'nprobe':>8s}{'standard':>12s}{'consistent':>12s}")
 for p in nprobes:
     r_std = sweep.value("standard", p, "recall", 10)

@@ -207,12 +207,13 @@ def _cmd_diagnose(args) -> int:
     qrels = data_io.read_qrels(os.path.join(args.data, "qrels.tsv"))
     id_to_row = {int(i): r for r, i in enumerate(item_ids)}
     qid_to_row = {int(i): r for r, i in enumerate(query_ids)}
-    pairs = []
+    q_rows, i_rows = [], []
     for qid in sorted(qrels):
         for item, grade in sorted(qrels[qid].items()):
             if grade >= 1 and qid in qid_to_row and item in id_to_row:
-                pairs.append((queries[qid_to_row[qid]], items[id_to_row[item]]))
-    report = diagnostics.diagnose(model, pairs,
+                q_rows.append(qid_to_row[qid])
+                i_rows.append(id_to_row[item])
+    report = diagnostics.diagnose(model, queries[q_rows], items[i_rows],
                                   _equal_count_pool(queries, items))
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -221,10 +222,9 @@ def _cmd_diagnose(args) -> int:
 def _cmd_build_index(args) -> int:
     model = data_io.load_model(args.model)
     feats, ids = data_io.read_vectors(args.items)
-    items = list(zip(ids.tolist(), feats))
     calls_before = model.encode_calls
     t0 = time.perf_counter()
-    index = ivf.build(model, items, args.mode, args.variant, args.nlist,
+    index = ivf.build(model, ids, feats, args.mode, args.variant, args.nlist,
                       make_rng(args.seed), pq_m=args.pq_m,
                       pq_ksub=args.pq_ksub,
                       residual_space=args.residual_space)
@@ -279,16 +279,14 @@ def _cmd_sweep(args) -> int:
     feats, ids = data_io.read_vectors(args.items)
     queries, query_ids = data_io.read_vectors(args.queries)
     qrels = data_io.read_qrels(args.qrels)
-    items = list(zip(ids.tolist(), feats))
     kwargs = dict(pq_m=args.pq_m, pq_ksub=args.pq_ksub,
                   residual_space=args.residual_space)
-    index_std = ivf.build(model, items, ivf.STANDARD, args.variant,
+    index_std = ivf.build(model, ids, feats, ivf.STANDARD, args.variant,
                           args.nlist, make_rng(args.seed), **kwargs)
-    index_ci = ivf.build(model, items, ivf.CI, args.variant, args.nlist,
+    index_ci = ivf.build(model, ids, feats, ivf.CI, args.variant, args.nlist,
                          make_rng(args.seed), **kwargs)
-    result = evaluation.nprobe_sweep(index_std, index_ci, model,
-                                     list(zip(query_ids.tolist(), queries)),
-                                     qrels, args.nprobe, args.k)
+    result = evaluation.nprobe_sweep(index_std, index_ci, model, query_ids,
+                                     queries, qrels, args.nprobe, args.k)
     _emit(evaluation.sweep_csv(result), args.out)
     for metric, cutoff, np_std, np_ci in result.matches:
         reached = f"nprobe={np_ci}" if np_ci is not None else "not reached"

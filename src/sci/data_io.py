@@ -48,8 +48,8 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n_latent_clusters < 1:
-            raise ValueError("need at least one latent cluster")
+        if self.n_latent_clusters < 2:
+            raise ValueError("need --clusters >= 2 to draw triplet negatives")
         if self.n_items < self.n_latent_clusters:
             raise ValueError("need at least one item per latent cluster")
         if self.n_queries < 1:
@@ -249,11 +249,11 @@ def write_container(path, magic: bytes, parts) -> None:
 
 def write_vectors(path, vectors, ids=None) -> None:
     """Rows to `path`, ids to `<path>.ids`; without ids, old .ids is removed."""
-    x = np.asarray(vectors, dtype=np.float32)
+    x = np.asarray(vectors)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("expected a 2-D array of vectors with dim >= 1")
-    if not np.isfinite(x).all():
-        raise ValueError("vectors hold NaN or Inf")
+    if not (np.abs(x) <= np.finfo(np.float32).max).all():
+        raise ValueError("vectors hold NaN or Inf or exceed the float32 range")
     if ids is not None:
         ids = np.asarray(ids, dtype=np.uint64)
         if ids.shape != (x.shape[0],):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
+from .errors import DimensionMismatch
 
 EPS_DEFAULT = 1e-12
 
@@ -42,25 +43,28 @@ class SimilarityStats:
     std: float
 
 
-def _pair_arrays(pairs):
-    qs = np.asarray([p[0] for p in pairs], dtype=np.float32)
-    its = np.asarray([p[1] for p in pairs], dtype=np.float32)
-    return qs, its
-
-
-def alignment_error(model, pairs) -> AlignmentReport:
-    """Mean over pairs of (S(f_q(Q), f_i(I)) - S(f_i(Q), f_q(I)))^2."""
-    if len(pairs) == 0:
+def _similarities(model, queries, items, tower_q, tower_i) -> np.ndarray:
+    """Row-wise S(f_tower_q(queries[r]), f_tower_i(items[r])) over two aligned
+    (n, d) pair arrays, in float64."""
+    qs = np.asarray(queries, dtype=np.float32)
+    its = np.asarray(items, dtype=np.float32)
+    if len(qs) == 0:
         raise ValueError("empty pair list")
-    qs, its = _pair_arrays(pairs)
-    fq_q = encoder.encode_batch(model, encoder.QUERY, qs).astype(np.float64)
-    fi_i = encoder.encode_batch(model, encoder.ITEM, its).astype(np.float64)
-    fi_q = encoder.encode_batch(model, encoder.ITEM, qs).astype(np.float64)
-    fq_i = encoder.encode_batch(model, encoder.QUERY, its).astype(np.float64)
-    direct = np.einsum("ij,ij->i", fq_q, fi_i)
-    swapped = np.einsum("ij,ij->i", fi_q, fq_i)
+    if qs.ndim != 2 or qs.shape != its.shape:
+        raise DimensionMismatch(
+            f"query rows {qs.shape} do not line up with item rows {its.shape}")
+    a = encoder.encode_batch(model, tower_q, qs).astype(np.float64)
+    b = encoder.encode_batch(model, tower_i, its).astype(np.float64)
+    return np.einsum("ij,ij->i", a, b)
+
+
+def alignment_error(model, queries, items) -> AlignmentReport:
+    """Mean over pairs (queries[r], items[r]) of
+    (S(f_q(Q), f_i(I)) - S(f_i(Q), f_q(I)))^2."""
+    direct = _similarities(model, queries, items, encoder.QUERY, encoder.ITEM)
+    swapped = _similarities(model, queries, items, encoder.ITEM, encoder.QUERY)
     err = float(np.mean((direct - swapped) ** 2))
-    return AlignmentReport(err, len(pairs))
+    return AlignmentReport(err, len(direct))
 
 
 def _sample_cov(x: np.ndarray) -> np.ndarray:
@@ -96,28 +100,25 @@ def anisotropy(model, inputs, epsilon: float = EPS_DEFAULT) -> AnisotropyReport:
     return AnisotropyReport(cond_q, cond_i, gap, floored_q, floored_i)
 
 
-def pair_similarity_stats(model, pairs) -> SimilarityStats:
-    """Statistics of S(f_q(Q), f_i(I)) over ground-truth pairs.
+def pair_similarity_stats(model, queries, items) -> SimilarityStats:
+    """Statistics of S(f_q(Q), f_i(I)) over the pairs (queries[r], items[r]).
 
     Median is the lower middle element for even counts.
     """
-    if len(pairs) == 0:
-        raise ValueError("empty pair list")
-    qs, its = _pair_arrays(pairs)
-    fq_q = encoder.encode_batch(model, encoder.QUERY, qs).astype(np.float64)
-    fi_i = encoder.encode_batch(model, encoder.ITEM, its).astype(np.float64)
-    sims = np.sort(np.einsum("ij,ij->i", fq_q, fi_i))
+    sims = np.sort(_similarities(model, queries, items, encoder.QUERY,
+                                 encoder.ITEM))
     median = float(sims[(len(sims) - 1) // 2])
     return SimilarityStats(float(np.mean(sims)), median, float(sims[0]),
                            float(sims[-1]), float(np.std(sims)))
 
 
-def diagnose(model, pairs, inputs, epsilon: float = EPS_DEFAULT) -> dict:
+def diagnose(model, queries, items, inputs,
+             epsilon: float = EPS_DEFAULT) -> dict:
     """All three reports as one plain dict (the JSON document of the
-    `diagnose` CLI subcommand)."""
-    align = alignment_error(model, pairs)
+    `diagnose` CLI subcommand); the pairs are (queries[r], items[r])."""
+    align = alignment_error(model, queries, items)
     aniso = anisotropy(model, inputs, epsilon)
-    stats = pair_similarity_stats(model, pairs)
+    stats = pair_similarity_stats(model, queries, items)
     return {
         "alignment_error": align.alignment_error,
         "n_pairs": align.n_pairs,

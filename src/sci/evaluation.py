@@ -20,19 +20,29 @@ from .errors import DimensionMismatch, MismatchedCorpora
 METRICS = ("precision", "recall", "mrr", "ndcg")
 
 
-def brute_force_search(vectors, query, k: int) -> ivf.SearchResult:
-    """Exact ascending squared-L2 top-k with item-id tie-break."""
+def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ascending squared-L2 top-k of each query row of Q over the items
+    `ids` (n,) with rows X (n, d), ties by ascending item id.
+
+    Returns (ids, dists) arrays of shape (nq, min(k, n)).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = np.asarray([i for i, _ in vectors], dtype=np.uint64)
-    feats = np.asarray([f for _, f in vectors], dtype=np.float32)
-    query = np.asarray(query, dtype=np.float32)
-    if query.shape != (feats.shape[1],):
-        raise DimensionMismatch(f"query dim {query.shape} vs corpus {feats.shape[1]}")
-    d = pairwise_sq_dists(feats, query.reshape(1, -1))[:, 0]
-    order = np.lexsort((ids, d))[:k]
-    ranked = [(int(ids[i]), float(d[i])) for i in order]
-    return ivf.SearchResult(ranked, [])
+    ids = np.asarray(ids, dtype=np.uint64)
+    X = np.asarray(X, dtype=np.float32)
+    Q = np.asarray(Q, dtype=np.float32)
+    if (X.ndim != 2 or ids.shape != (len(X),) or Q.ndim != 2
+            or Q.shape[1] != X.shape[1]):
+        raise DimensionMismatch(f"ids {ids.shape}, X {X.shape} and queries "
+                                f"{Q.shape} do not line up")
+    out_ids = np.empty((len(Q), min(k, len(ids))), dtype=np.uint64)
+    out_dists = np.empty(out_ids.shape, dtype=np.float64)
+    for row, q in enumerate(Q):
+        d = pairwise_sq_dists(X, q[None])[:, 0]
+        order = np.lexsort((ids, d))[:k]
+        out_ids[row] = ids[order]
+        out_dists[row] = d[order]
+    return out_ids, out_dists
 
 
 def _relevant(qrels, qid):
@@ -44,29 +54,19 @@ def _mean_over_queries(run, qrels, k, per_query):
     queries with a relevant item."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = []
-    skipped = 0
-    for qid in run:
-        rel = _relevant(qrels, qid)
-        if not rel:
-            skipped += 1
-            continue
-        values.append(per_query(run[qid][:k], rel, qrels.get(qid, {})))
-    if not values:
-        return 0.0, skipped
-    return float(np.mean(values)), skipped
+    values = [per_query(run[qid][:k], rel, qrels[qid])
+              for qid in run if (rel := _relevant(qrels, qid))]
+    return float(np.mean(values)) if values else 0.0
 
 
 def recall_at_k(run, qrels, k: int) -> float:
-    value, _ = _mean_over_queries(
+    return _mean_over_queries(
         run, qrels, k, lambda top, rel, _: len(set(top) & rel) / len(rel))
-    return value
 
 
 def precision_at_k(run, qrels, k: int) -> float:
-    value, _ = _mean_over_queries(
+    return _mean_over_queries(
         run, qrels, k, lambda top, rel, _: len(set(top) & rel) / k)
-    return value
 
 
 def mrr_at_k(run, qrels, k: int) -> float:
@@ -75,8 +75,7 @@ def mrr_at_k(run, qrels, k: int) -> float:
             if item in rel:
                 return 1.0 / rank
         return 0.0
-    value, _ = _mean_over_queries(run, qrels, k, per_query)
-    return value
+    return _mean_over_queries(run, qrels, k, per_query)
 
 
 def ndcg_at_k(run, qrels, k: int, graded: bool = False) -> float:
@@ -93,8 +92,7 @@ def ndcg_at_k(run, qrels, k: int, graded: bool = False) -> float:
         idcg = sum(gain(g) / math.log2(r + 1)
                    for r, g in enumerate(ideal, start=1))
         return dcg / idcg if idcg > 0.0 else 0.0
-    value, _ = _mean_over_queries(run, qrels, k, per_query)
-    return value
+    return _mean_over_queries(run, qrels, k, per_query)
 
 
 def skipped_queries(run, qrels) -> int:
@@ -134,21 +132,27 @@ class SweepResult:
 
 
 def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
-                 queries, qrels, nprobe_list, k_list) -> SweepResult:
+                 query_ids, Q, qrels, nprobe_list, k_list) -> SweepResult:
     """Full metric grid for both build modes across nprobe values.
 
-    queries: list of (query_id, feature). Also reports, per metric/cutoff,
-    the smallest CI nprobe that reaches each Standard nprobe's value.
+    Q holds one feature row per entry of `query_ids`. Also reports, per
+    metric/cutoff, the smallest CI nprobe that reaches each Standard
+    nprobe's value.
     """
     if index_std.n_items != index_ci.n_items or index_std.dim != index_ci.dim:
         raise MismatchedCorpora("indexes do not cover the same corpus")
+    query_ids = np.asarray(query_ids, dtype=np.uint64)
+    Q = np.asarray(Q, dtype=np.float32)
+    if Q.ndim != 2 or query_ids.shape != (len(Q),):
+        raise DimensionMismatch(f"query_ids {query_ids.shape} do not line up "
+                                f"with the rows of Q {Q.shape}")
     k_max = max(k_list)
     rows = []
     grid = {}
     for method, index in (("standard", index_std), ("ci", index_ci)):
         for nprobe in nprobe_list:
             run = {}
-            for qid, feat in queries:
+            for qid, feat in zip(query_ids.tolist(), Q):
                 result = ivf.search(index, model, feat, nprobe, k_max)
                 run[qid] = [item for item, _ in result.ranked]
             report = evaluate(run, qrels, k_list)
@@ -163,11 +167,9 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
         for k in k_list:
             for np_std in nprobe_list:
                 target = grid[("standard", np_std, metric, k)]
-                found = None
-                for np_ci in nprobe_list:
-                    if grid[("ci", np_ci, metric, k)] >= target:
-                        found = np_ci
-                        break
+                found = next((np_ci for np_ci in nprobe_list
+                              if grid[("ci", np_ci, metric, k)] >= target),
+                             None)
                 matches.append((metric, k, np_std, found))
     return SweepResult(rows, matches)
 

@@ -17,7 +17,8 @@ import numpy as np
 from . import data_io, encoder
 from .clustering import Centroids, assign_batch, kmeans
 from .core import pairwise_sq_dists
-from .errors import CorruptIndex, DuplicateItem, TooFewPoints
+from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
+                     TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
                            pq_encode_batch, pq_reconstruct, pq_train)
 
@@ -52,36 +53,38 @@ class SearchResult:
     probed_clusters: list
 
 
-def build(model, items, mode: str, variant: str, nlist: int, rng,
+def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
           pq_m: int = 8, pq_ksub: int = 16,
           residual_space: str = RESIDUAL_REPR) -> IvfIndex:
-    """Build an index over (item_id, feature) pairs. Deterministic given rng."""
+    """Build an index over item `ids` (n,) and their features `X` (n, d), row
+    i belonging to ids[i]. Deterministic given rng."""
     if mode not in (STANDARD, CI):
         raise ValueError(f"unknown mode {mode!r}")
     if variant not in (FLAT, PQ):
         raise ValueError(f"unknown variant {variant!r}")
     if residual_space not in (RESIDUAL_REPR, RESIDUAL_STRUCT):
         raise ValueError(f"unknown residual_space {residual_space!r}")
-    ids = np.asarray([i for i, _ in items], dtype=np.uint64)
-    feats = np.asarray([f for _, f in items], dtype=np.float32)
+    ids = np.asarray(ids, dtype=np.uint64)
+    X = np.asarray(X, dtype=np.float32)
+    if X.ndim != 2 or ids.shape != (len(X),):
+        raise DimensionMismatch(
+            f"ids {ids.shape} do not line up with the rows of X {X.shape}")
     if len(np.unique(ids)) != len(ids):
         raise DuplicateItem("item ids must be unique")
     n = len(ids)
     if n < nlist:
         raise TooFewPoints(f"{n} items for nlist={nlist}")
 
-    e_repr = encoder.encode_batch(model, encoder.ITEM, feats)
+    e_repr = encoder.encode_batch(model, encoder.ITEM, X)
     if mode == CI:
-        e_struct = encoder.encode_batch(model, encoder.QUERY, feats)
+        e_struct = encoder.encode_batch(model, encoder.QUERY, X)
     else:
         e_struct = e_repr
 
     centroids = kmeans(e_struct, nlist, rng=rng)
     labels, _ = assign_batch(centroids, e_struct)
 
-    codebook = None
-    codes = None
-    mean_recon = None
+    codebook = codes = mean_recon = None
     if variant == PQ:
         base = e_repr if residual_space == RESIDUAL_REPR else e_struct
         residuals = (base.astype(np.float64) -
@@ -92,15 +95,10 @@ def build(model, items, mode: str, variant: str, nlist: int, rng,
         diff = residuals.astype(np.float64) - recon.astype(np.float64)
         mean_recon = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
 
-    list_ids = []
-    list_payload = []
-    for j in range(nlist):
-        members = np.flatnonzero(labels == j)
-        list_ids.append(ids[members])
-        if variant == FLAT:
-            list_payload.append(e_repr[members])
-        else:
-            list_payload.append(codes[members])
+    payload = e_repr if variant == FLAT else codes
+    members = [np.flatnonzero(labels == j) for j in range(nlist)]
+    list_ids = [ids[rows] for rows in members]
+    list_payload = [payload[rows] for rows in members]
 
     return IvfIndex(variant, mode, int(e_repr.shape[1]), nlist, centroids,
                     list_ids, list_payload, n, codebook, residual_space,

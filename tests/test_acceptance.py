@@ -196,12 +196,14 @@ def test_criterion_03c_non_collapse_independence():
 
 
 def _witness_pairs(data, per_query=1):
-    pairs = []
+    """Aligned (query rows, item rows) feature arrays of the first relevant
+    items of every query."""
+    q_rows, i_rows = [], []
     for q in sorted(data.qrels):
-        rel = sorted(data.qrels[q])[:per_query]
-        for item in rel:
-            pairs.append((data.query_features[q], data.item_features[item]))
-    return pairs
+        for item in sorted(data.qrels[q])[:per_query]:
+            q_rows.append(q)
+            i_rows.append(item)
+    return data.query_features[q_rows], data.item_features[i_rows]
 
 
 def _train_pair(seed, epochs, lr, lam):
@@ -225,12 +227,12 @@ def test_criterion_04_training_dynamics_witnesses():
         data, m_sym, m_plain = _train_pair(seed, epochs=60, lr=0.05, lam=0.3)
         pairs = _witness_pairs(data)
         pool = np.concatenate([data.query_features, data.item_features[:200]])
-        a_sym = diagnostics.alignment_error(m_sym, pairs).alignment_error
-        a_plain = diagnostics.alignment_error(m_plain, pairs).alignment_error
+        a_sym = diagnostics.alignment_error(m_sym, *pairs).alignment_error
+        a_plain = diagnostics.alignment_error(m_plain, *pairs).alignment_error
         c_sym = diagnostics.anisotropy(m_sym, pool).cov_fro_gap
         c_plain = diagnostics.anisotropy(m_plain, pool).cov_fro_gap
-        s_sym = diagnostics.pair_similarity_stats(m_sym, pairs).mean
-        s_plain = diagnostics.pair_similarity_stats(m_plain, pairs).mean
+        s_sym = diagnostics.pair_similarity_stats(m_sym, *pairs).mean
+        s_plain = diagnostics.pair_similarity_stats(m_plain, *pairs).mean
         align_wins += a_sym < a_plain
         cov_wins += c_sym < c_plain
         cos_wins += s_sym > s_plain
@@ -249,20 +251,26 @@ def test_criterion_04_training_dynamics_witnesses():
 # 5. Index exactness
 
 
+def _search_encoded_queries(m, data):
+    """Query embeddings as `ivf.search` computes them, one row at a time
+    (BLAS may round a one-row product differently from a batch)."""
+    return np.concatenate([encoder.encode_batch(m, encoder.QUERY, f)
+                           for f in data.query_features])
+
+
 def test_criterion_05_index_exactness():
     data = data_io.gen_synthetic(data_io.standard_benchmark(0))
     m = linear_model(16, 16, seed=7)
-    items = list(zip(data.item_ids.tolist(), data.item_features))
-    corpus = list(zip(data.item_ids.tolist(),
-                      encoder.encode_batch(m, encoder.ITEM,
-                                           data.item_features)))
+    ref_ids, ref_dists = evaluation.brute_force_search(
+        data.item_ids, encoder.encode_batch(m, encoder.ITEM, data.item_features),
+        _search_encoded_queries(m, data), 10)
     for mode in (ivf.STANDARD, ivf.CI):
-        index = ivf.build(m, items, mode, ivf.FLAT, 16, make_rng(0))
-        for feat in data.query_features:
+        index = ivf.build(m, data.item_ids, data.item_features, mode, ivf.FLAT,
+                          16, make_rng(0))
+        for row, feat in enumerate(data.query_features):
             got = ivf.search(index, m, feat, 16, 10)
-            ref = evaluation.brute_force_search(
-                corpus, encoder.encode_batch(m, encoder.QUERY, feat)[0], 10)
-            assert got.ranked == ref.ranked
+            assert got.ranked == list(zip(ref_ids[row].tolist(),
+                                          ref_dists[row].tolist()))
     _report("criterion 5", "IVF-Flat nprobe=nlist == brute force, same ids "
             "and order, 200 queries x both modes")
 
@@ -311,15 +319,11 @@ def test_criterion_06_pq_adc_identities():
 
 def _oracle_qrels(m, data):
     """Relevance = exact top-10 under the model's own embedding spaces."""
-    corpus = list(zip(data.item_ids.tolist(),
-                      encoder.encode_batch(m, encoder.ITEM,
-                                           data.item_features)))
-    qrels = {}
-    for qid, feat in zip(data.query_ids.tolist(), data.query_features):
-        top = evaluation.brute_force_search(
-            corpus, encoder.encode_batch(m, encoder.QUERY, feat)[0], 10)
-        qrels[qid] = {i: 1 for i, _ in top.ranked}
-    return qrels
+    top, _ = evaluation.brute_force_search(
+        data.item_ids, encoder.encode_batch(m, encoder.ITEM, data.item_features),
+        _search_encoded_queries(m, data), 10)
+    return {qid: {i: 1 for i in row}
+            for qid, row in zip(data.query_ids.tolist(), top.tolist())}
 
 
 def test_criterion_07_consistency_witness_and_monotonicity():
@@ -333,13 +337,13 @@ def test_criterion_07_consistency_witness_and_monotonicity():
         cfg = training.TrainConfig(
             3, 0.01, seed, training.LossConfig(0.2, 0.3, training.ADDITIVE))
         m, _ = training.train(m, data.triplets, cfg)
-        items = list(zip(data.item_ids.tolist(), data.item_features))
-        queries = list(zip(data.query_ids.tolist(), data.query_features))
-        std = ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 16, make_rng(seed))
-        ci = ivf.build(m, items, ivf.CI, ivf.FLAT, 16, make_rng(seed))
+        items = data.item_ids, data.item_features
+        queries = data.query_ids, data.query_features
+        std = ivf.build(m, *items, ivf.STANDARD, ivf.FLAT, 16, make_rng(seed))
+        ci = ivf.build(m, *items, ivf.CI, ivf.FLAT, 16, make_rng(seed))
 
         # Witness: semantic (cluster-identity) relevance, nprobe = 1.
-        sweep = evaluation.nprobe_sweep(std, ci, m, queries, data.qrels,
+        sweep = evaluation.nprobe_sweep(std, ci, m, *queries, data.qrels,
                                         [1], [10])
         r_ci = sweep.value("ci", 1, "recall", 10)
         r_std = sweep.value("standard", 1, "recall", 10)
@@ -351,7 +355,7 @@ def test_criterion_07_consistency_witness_and_monotonicity():
         # only prune true neighbors, never rerank them (checked on the
         # first three seeds to stay inside the runtime budget).
         if seed < 3:
-            sweep = evaluation.nprobe_sweep(std, ci, m, queries,
+            sweep = evaluation.nprobe_sweep(std, ci, m, *queries,
                                             _oracle_qrels(m, data),
                                             nprobes, [1, 10])
             for method in ("standard", "ci"):
@@ -461,18 +465,18 @@ def test_criterion_10_complexity_observability():
     assert passes_on == 2 * passes_off
 
     n = 120
-    items = [(i, rng.normal(size=8).astype(np.float32)) for i in range(n)]
+    items = np.arange(n), rng.normal(size=(n, 8)).astype(np.float32)
     m = linear_model(8, 8, seed=2)
-    ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 4, make_rng(0))
+    ivf.build(m, *items, ivf.STANDARD, ivf.FLAT, 4, make_rng(0))
     std_encodes = m.encode_calls
     m = linear_model(8, 8, seed=2)
-    ivf.build(m, items, ivf.CI, ivf.FLAT, 4, make_rng(0))
+    ivf.build(m, *items, ivf.CI, ivf.FLAT, 4, make_rng(0))
     ci_encodes = m.encode_calls
     assert std_encodes == n
     assert ci_encodes == 2 * n
 
     m = linear_model(8, 8, seed=3)
-    index = ivf.build(m, items, ivf.CI, ivf.FLAT, 8, make_rng(0))
+    index = ivf.build(m, *items, ivf.CI, ivf.FLAT, 8, make_rng(0))
     for nprobe in (1, 5, 8, 64):
         result = ivf.search(index, m, rng.normal(size=8).astype(np.float32),
                             nprobe, 3)

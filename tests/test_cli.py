@@ -55,6 +55,7 @@ class TestGenData:
 
     @pytest.mark.parametrize("flag, value", [("--queries", "0"),
                                              ("--clusters", "0"),
+                                             ("--clusters", "1"),
                                              ("--dim", "0"),
                                              ("--noise", "nan"),
                                              ("--noise", "inf")])

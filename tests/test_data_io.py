@@ -82,7 +82,7 @@ class TestGenSynthetic:
 
     @pytest.mark.parametrize("field, value", [
         ("n_queries", 0), ("n_queries", -1), ("n_latent_clusters", 0),
-        ("n_latent_clusters", -2), ("input_dim", 0), ("input_dim", -1),
+        ("n_latent_clusters", -2), ("n_latent_clusters", 1), ("input_dim", 0), ("input_dim", -1),
         ("noise_sigma", np.nan), ("noise_sigma", np.inf),
         ("noise_sigma", -np.inf)])
     def test_validation_rejects(self, field, value):
@@ -155,7 +155,7 @@ class TestVectorFiles:
             data_io.read_vectors(path)
         assert exc.value.offset == offset
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
     def test_write_refuses_non_finite(self, rng, tmp_path, bad):
         x = rng.normal(size=(10, 4))
         x[6, 1] = bad

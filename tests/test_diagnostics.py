@@ -3,6 +3,7 @@ import pytest
 
 from sci import diagnostics, encoder, training
 from sci.data_io import SyntheticSpec, gen_synthetic
+from sci.errors import DimensionMismatch
 
 from conftest import linear_model
 
@@ -17,12 +18,13 @@ def pair_model(dim, seed=0, normalize=True, symmetric=False):
 class TestAlignmentError:
     def test_symmetric_parameters_give_zero(self, rng):
         m = pair_model(4, symmetric=True)
-        pairs = [(rng.normal(size=4), rng.normal(size=4)) for _ in range(5)]
-        assert diagnostics.alignment_error(m, pairs).alignment_error == 0.0
+        pairs = rng.normal(size=(5, 2, 4))
+        assert diagnostics.alignment_error(
+            m, pairs[:, 0], pairs[:, 1]).alignment_error == 0.0
 
     def test_matches_four_encode_oracle(self, rng):
         m = pair_model(3, seed=6)
-        pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(2)]
+        pairs = rng.normal(size=(2, 2, 3))
         gaps = []
         for q, i in pairs:
             direct = float(
@@ -32,7 +34,7 @@ class TestAlignmentError:
                 encoder.encode_batch(m, encoder.ITEM, q)[0].astype(np.float64) @
                 encoder.encode_batch(m, encoder.QUERY, i)[0].astype(np.float64))
             gaps.append((direct - swapped) ** 2)
-        report = diagnostics.alignment_error(m, pairs)
+        report = diagnostics.alignment_error(m, pairs[:, 0], pairs[:, 1])
         assert report.alignment_error == pytest.approx(np.mean(gaps), rel=1e-6)
         assert report.n_pairs == 2
 
@@ -42,7 +44,14 @@ class TestAlignmentError:
 
     def test_empty_pairs_raise(self):
         with pytest.raises(ValueError):
-            diagnostics.alignment_error(pair_model(3), [])
+            diagnostics.alignment_error(pair_model(3), [], [])
+
+    def test_pair_arrays_must_line_up(self, rng):
+        m = pair_model(3)
+        qs = rng.normal(size=(4, 3))
+        for items in (qs[:3], qs[:, :2], qs[0]):
+            with pytest.raises(DimensionMismatch):
+                diagnostics.alignment_error(m, qs, items)
 
 
 class TestAnisotropy:
@@ -113,14 +122,14 @@ class TestPairSimilarityStats:
 
     def test_identical_similarities(self):
         m = self._fixed_similarity_model()
-        pairs = [([0.5, 0.0], [1.0, 0.0])] * 2
-        s = diagnostics.pair_similarity_stats(m, pairs)
+        s = diagnostics.pair_similarity_stats(m, [[0.5, 0.0]] * 2,
+                                              [[1.0, 0.0]] * 2)
         assert (s.mean, s.median, s.min, s.max, s.std) == (0.5, 0.5, 0.5, 0.5, 0.0)
 
     def test_three_values(self):
         m = self._fixed_similarity_model()
-        pairs = [([v, 0.0], [1.0, 0.0]) for v in (0.2, 0.4, 0.9)]
-        s = diagnostics.pair_similarity_stats(m, pairs)
+        s = diagnostics.pair_similarity_stats(
+            m, [[v, 0.0] for v in (0.2, 0.4, 0.9)], [[1.0, 0.0]] * 3)
         assert s.mean == pytest.approx(0.5, abs=1e-7)
         assert s.median == pytest.approx(0.4, abs=1e-7)
         assert s.min == pytest.approx(0.2, abs=1e-7)
@@ -128,29 +137,32 @@ class TestPairSimilarityStats:
 
     def test_even_count_median_is_lower_middle(self):
         m = self._fixed_similarity_model()
-        pairs = [([v, 0.0], [1.0, 0.0]) for v in (0.1, 0.2, 0.3, 0.4)]
-        assert diagnostics.pair_similarity_stats(m, pairs).median == \
+        queries = [[v, 0.0] for v in (0.1, 0.2, 0.3, 0.4)]
+        assert diagnostics.pair_similarity_stats(
+            m, queries, [[1.0, 0.0]] * 4).median == \
             pytest.approx(0.2, abs=1e-7)
 
     def test_training_raises_pair_similarity(self):
         spec = SyntheticSpec(400, 50, 8, 4, 0.8, 0.1, 0)
         data = gen_synthetic(spec)
-        pairs = [(data.query_features[q], data.item_features[next(iter(rel))])
-                 for q, rel in sorted(data.qrels.items())]
+        q_rows = sorted(data.qrels)
+        i_rows = [next(iter(data.qrels[q])) for q in q_rows]
+        pairs = data.query_features[q_rows], data.item_features[i_rows]
         m = pair_model(8, seed=1)
-        before = diagnostics.pair_similarity_stats(m, pairs).mean
+        before = diagnostics.pair_similarity_stats(m, *pairs).mean
         cfg = training.TrainConfig(30, 0.05, 0,
                                    training.LossConfig(0.2, 0.3, "additive"))
         m, _ = training.train(m, data.triplets, cfg)
-        after = diagnostics.pair_similarity_stats(m, pairs).mean
+        after = diagnostics.pair_similarity_stats(m, *pairs).mean
         assert after > before
 
 
 class TestDiagnose:
     def test_report_keys(self, rng):
         m = pair_model(4, seed=2)
-        pairs = [(rng.normal(size=4), rng.normal(size=4)) for _ in range(6)]
-        report = diagnostics.diagnose(m, pairs, rng.normal(size=(30, 4)))
+        pairs = rng.normal(size=(6, 2, 4))
+        report = diagnostics.diagnose(m, pairs[:, 0], pairs[:, 1],
+                                      rng.normal(size=(30, 4)))
         assert set(report) == {"alignment_error", "n_pairs", "cond_q",
                                "cond_i", "cov_fro_gap", "pair_stats"}
         assert set(report["pair_stats"]) == {"mean", "median", "min", "max",

@@ -5,7 +5,7 @@ import pytest
 
 from sci import encoder, evaluation, ivf
 from sci.core import make_rng
-from sci.errors import MismatchedCorpora
+from sci.errors import DimensionMismatch, MismatchedCorpora
 
 from conftest import linear_model
 
@@ -13,38 +13,56 @@ from conftest import linear_model
 class TestBruteForceSearch:
     def test_query_in_corpus_ranks_first(self, rng):
         feats = rng.normal(size=(20, 4)).astype(np.float32)
-        corpus = list(zip(range(20), feats))
-        result = evaluation.brute_force_search(corpus, feats[7], 5)
-        assert result.ranked[0] == (7, 0.0)
+        ids, dists = evaluation.brute_force_search(np.arange(20), feats,
+                                                   feats[7:8], 5)
+        assert (ids[0, 0], dists[0, 0]) == (7, 0.0)
 
     def test_k_at_least_corpus_returns_full_sort(self, rng):
         feats = rng.normal(size=(10, 3)).astype(np.float32)
-        corpus = list(zip(range(10), feats))
-        result = evaluation.brute_force_search(corpus,
-                                               rng.normal(size=3), 50)
-        assert len(result.ranked) == 10
-        dists = [d for _, d in result.ranked]
+        ids, dists = evaluation.brute_force_search(np.arange(10), feats,
+                                                   rng.normal(size=(1, 3)), 50)
+        assert ids.shape == dists.shape == (1, 10)
+        dists = dists[0].tolist()
         assert dists == sorted(dists)
 
     def test_agrees_with_full_sort_oracle(self, rng):
         feats = rng.normal(size=(1000, 16)).astype(np.float32)
-        corpus = list(zip(range(1000), feats))
         q = rng.normal(size=16).astype(np.float32)
-        result = evaluation.brute_force_search(corpus, q, 10)
+        ids, _ = evaluation.brute_force_search(np.arange(1000), feats,
+                                               q[None], 10)
         d = np.einsum("ij,ij->i",
                       feats.astype(np.float64) - q.astype(np.float64),
                       feats.astype(np.float64) - q.astype(np.float64))
         oracle = sorted(range(1000), key=lambda i: (d[i], i))[:10]
-        assert [i for i, _ in result.ranked] == oracle
+        assert ids[0].tolist() == oracle
 
     def test_tie_break_by_id(self):
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]],
                          dtype=np.float32)
-        corpus = [(9, feats[0]), (3, feats[1]), (5, feats[2])]
-        result = evaluation.brute_force_search(corpus,
-                                               np.array([1.0, 0.0],
-                                                        dtype=np.float32), 3)
-        assert [i for i, _ in result.ranked] == [3, 9, 5]
+        ids, _ = evaluation.brute_force_search(
+            [9, 3, 5], feats, np.array([[1.0, 0.0]], dtype=np.float32), 3)
+        assert ids[0].tolist() == [3, 9, 5]
+
+    def test_batch_rows_equal_one_row_calls(self, rng):
+        feats = rng.normal(size=(200, 8)).astype(np.float32)
+        item_ids = rng.permutation(200)
+        queries = rng.normal(size=(12, 8)).astype(np.float32)
+        ids, dists = evaluation.brute_force_search(item_ids, feats, queries, 7)
+        assert ids.shape == dists.shape == (12, 7)
+        for row, q in enumerate(queries):
+            one_ids, one_dists = evaluation.brute_force_search(
+                item_ids, feats, q[None], 7)
+            assert np.array_equal(ids[row], one_ids[0])
+            assert dists[row].tobytes() == one_dists[0].tobytes()
+
+    def test_arrays_must_line_up(self, rng):
+        feats = rng.normal(size=(10, 3)).astype(np.float32)
+        q = rng.normal(size=(2, 3))
+        for ids, x, queries in ((np.arange(9), feats, q),
+                                (np.arange(10), feats, q[:, :2]),
+                                (np.arange(10), feats, q[0])):
+            with pytest.raises(DimensionMismatch):
+                evaluation.brute_force_search(ids, x, queries, 3)
 
 
 class TestRecall:
@@ -164,24 +182,26 @@ class TestNprobeSweep:
     def _setup(self, rng, seed=0):
         m = linear_model(4, 4, seed=seed)
         feats = rng.normal(size=(60, 4)).astype(np.float32)
-        items = list(zip(range(60), feats))
-        std = ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 4, make_rng(seed))
-        ci = ivf.build(m, items, ivf.CI, ivf.FLAT, 4, make_rng(seed))
-        queries = [(q, rng.normal(size=4).astype(np.float32))
-                   for q in range(10)]
+        ids = np.arange(60)
+        std = ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 4,
+                        make_rng(seed))
+        ci = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 4, make_rng(seed))
+        query_ids = np.arange(10)
+        queries = rng.normal(size=(10, 4)).astype(np.float32)
         # relevance = exact top-3 under the model, so full-probe metrics hit 1
-        corpus = list(zip(range(60),
-                          encoder.encode_batch(m, encoder.ITEM, feats)))
-        qrels = {}
-        for qid, f in queries:
-            e_q = encoder.encode_batch(m, encoder.QUERY, f)[0]
-            top = evaluation.brute_force_search(corpus, e_q, 3)
-            qrels[qid] = {i: 1 for i, _ in top.ranked}
-        return m, std, ci, queries, qrels
+        # queries encoded one row at a time, as ivf.search does
+        e_q = np.concatenate([encoder.encode_batch(m, encoder.QUERY, f)
+                              for f in queries])
+        top, _ = evaluation.brute_force_search(
+            ids, encoder.encode_batch(m, encoder.ITEM, feats), e_q, 3)
+        qrels = {qid: {i: 1 for i in row}
+                 for qid, row in zip(query_ids.tolist(), top.tolist())}
+        return m, std, ci, query_ids, queries, qrels
 
     def test_full_probe_equals_brute_force_metrics(self, rng):
-        m, std, ci, queries, qrels = self._setup(rng)
-        sweep = evaluation.nprobe_sweep(std, ci, m, queries, qrels, [4], [3])
+        m, std, ci, query_ids, queries, qrels = self._setup(rng)
+        sweep = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                        [4], [3])
         for method in ("standard", "ci"):
             assert sweep.value(method, 4, "recall", 3) == pytest.approx(1.0)
 
@@ -189,13 +209,14 @@ class TestNprobeSweep:
         m = linear_model(4, 4, seed=1)
         m.params_i = {k: v.copy() for k, v in m.params_q.items()}
         feats = rng.normal(size=(60, 4)).astype(np.float32)
-        items = list(zip(range(60), feats))
-        std = ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 4, make_rng(1))
-        ci = ivf.build(m, items, ivf.CI, ivf.FLAT, 4, make_rng(1))
-        queries = [(q, rng.normal(size=4).astype(np.float32))
-                   for q in range(8)]
-        qrels = {q: {q % 60: 1} for q, _ in queries}
-        sweep = evaluation.nprobe_sweep(std, ci, m, queries, qrels, [1], [3])
+        ids = np.arange(60)
+        std = ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 4, make_rng(1))
+        ci = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 4, make_rng(1))
+        query_ids = np.arange(8)
+        queries = rng.normal(size=(8, 4)).astype(np.float32)
+        qrels = {q: {q % 60: 1} for q in query_ids.tolist()}
+        sweep = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                        [1], [3])
         for metric in evaluation.METRICS:
             assert sweep.value("ci", 1, metric, 3) == \
                 sweep.value("standard", 1, metric, 3)
@@ -203,16 +224,25 @@ class TestNprobeSweep:
     def test_mismatched_corpora(self, rng):
         m = linear_model(4, 4)
         feats = rng.normal(size=(60, 4)).astype(np.float32)
-        items = list(zip(range(60), feats))
-        std = ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 4, make_rng(0))
-        ci = ivf.build(m, items[:30], ivf.CI, ivf.FLAT, 4, make_rng(0))
+        ids = np.arange(60)
+        std = ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 4, make_rng(0))
+        ci = ivf.build(m, ids[:30], feats[:30], ivf.CI, ivf.FLAT, 4,
+                       make_rng(0))
         with pytest.raises(MismatchedCorpora):
-            evaluation.nprobe_sweep(std, ci, m, [], {}, [1], [1])
+            evaluation.nprobe_sweep(std, ci, m, [], np.zeros((0, 4)), {}, [1],
+                                    [1])
+
+    def test_query_ids_must_line_up(self, rng):
+        m, std, ci, query_ids, queries, qrels = self._setup(rng)
+        for ids, q in ((query_ids[:9], queries), (query_ids, queries[:9]),
+                       (query_ids[:1], queries[0])):
+            with pytest.raises(DimensionMismatch):
+                evaluation.nprobe_sweep(std, ci, m, ids, q, qrels, [1], [3])
 
     def test_csv_format(self, rng):
-        m, std, ci, queries, qrels = self._setup(rng)
-        sweep = evaluation.nprobe_sweep(std, ci, m, queries, qrels, [1, 4],
-                                        [3])
+        m, std, ci, query_ids, queries, qrels = self._setup(rng)
+        sweep = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                        [1, 4], [3])
         text = evaluation.sweep_csv(sweep)
         lines = text.strip().split("\n")
         assert lines[0] == "method,nprobe,metric,cutoff,value"
@@ -220,9 +250,9 @@ class TestNprobeSweep:
         assert len(lines) == 1 + 16
 
     def test_matches_structure(self, rng):
-        m, std, ci, queries, qrels = self._setup(rng)
-        sweep = evaluation.nprobe_sweep(std, ci, m, queries, qrels, [1, 4],
-                                        [3])
+        m, std, ci, query_ids, queries, qrels = self._setup(rng)
+        sweep = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                        [1, 4], [3])
         # full probe: CI always reaches the standard full-probe value
         for metric, k, np_std, np_ci in sweep.matches:
             if np_std == 4:

@@ -46,10 +46,10 @@ def originals(tmp_path_factory):
                           np.arange(10, 16))
     data_io.save_model(root / "linear.scim", linear_model(3, 2, seed=1))
     data_io.save_model(root / "mlp1.scim", mlp_model(3, 2, hidden=2, seed=1))
-    items = list(zip(range(24), rng.normal(size=(24, 4)).astype(np.float32)))
+    feats = rng.normal(size=(24, 4)).astype(np.float32)
     for variant in (ivf.FLAT, ivf.PQ):
-        index = ivf.build(_INDEX_MODEL, items, ivf.CI, variant, 3,
-                          make_rng(0), pq_m=2, pq_ksub=4)
+        index = ivf.build(_INDEX_MODEL, np.arange(24), feats, ivf.CI,
+                          variant, 3, make_rng(0), pq_m=2, pq_ksub=4)
         ivf.save(index, root / f"{variant}.scix")
     data_io.write_qrels(root / "qrels.tsv", {0: {1: 1, 4: 2}, 3: {2: 1}})
     data_io.write_run(root / "run.tsv", [(0, 1, 4, 0.25), (0, 2, 1, 0.5),

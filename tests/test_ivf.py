@@ -5,13 +5,21 @@ import pytest
 
 from sci import clustering, encoder, evaluation, ivf
 from sci.core import make_rng
-from sci.errors import CorruptFile, CorruptIndex, DuplicateItem, TooFewPoints
+from sci.errors import (CorruptFile, CorruptIndex, DimensionMismatch,
+                        DuplicateItem, TooFewPoints)
 
 from conftest import clone_model, linear_model
 
 
 def make_items(rng, n, dim):
-    return list(zip(range(n), rng.normal(size=(n, dim)).astype(np.float32)))
+    """Item ids 0..n-1 and their feature rows."""
+    return np.arange(n, dtype=np.uint64), \
+        rng.normal(size=(n, dim)).astype(np.float32)
+
+
+def ranked(ids, dists):
+    """One row of a `brute_force_search` result in `SearchResult.ranked` form."""
+    return list(zip(ids.tolist(), dists.tolist()))
 
 
 def symmetric_model(dim, seed=0):
@@ -59,25 +67,23 @@ class TestComputeResidual:
 class TestBuild:
     def test_symmetric_towers_identical_assignments(self, rng):
         m = symmetric_model(6)
-        items = make_items(rng, 80, 6)
-        std = ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 4, make_rng(1))
-        ci = ivf.build(m, items, ivf.CI, ivf.FLAT, 4, make_rng(1))
+        ids, feats = make_items(rng, 80, 6)
+        std = ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 4, make_rng(1))
+        ci = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 4, make_rng(1))
         for a, b in zip(std.list_ids, ci.list_ids):
             assert np.array_equal(a, b)
 
     def test_nlist_one_is_exhaustive(self, rng):
         m = linear_model(4, 4, seed=2)
-        items = make_items(rng, 30, 4)
-        index = ivf.build(m, items, ivf.CI, ivf.FLAT, 1, make_rng(0))
+        ids, feats = make_items(rng, 30, 4)
+        index = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 1, make_rng(0))
         assert len(index.list_ids[0]) == 30
         q = rng.normal(size=4).astype(np.float32)
         got = ivf.search(index, m, q, 1, 30)
-        e_q = encoder.encode_batch(m, encoder.QUERY, q)[0]
-        corpus = list(zip([i for i, _ in items],
-                          encoder.encode_batch(m, encoder.ITEM,
-                                               [f for _, f in items])))
-        ref = evaluation.brute_force_search(corpus, e_q, 30)
-        assert got.ranked == ref.ranked
+        e_q = encoder.encode_batch(m, encoder.QUERY, q)
+        ref_ids, ref_dists = evaluation.brute_force_search(
+            ids, encoder.encode_batch(m, encoder.ITEM, feats), e_q, 30)
+        assert got.ranked == ranked(ref_ids[0], ref_dists[0])
 
     def test_mode_specific_clustering_spaces(self, rng):
         # Two tight latent blobs; item tower = identity, query tower = a
@@ -88,10 +94,10 @@ class TestBuild:
         blob_a = rng.normal(size=(20, 2)).astype(np.float32) * 0.05 + [3.0, 0.0]
         blob_b = rng.normal(size=(20, 2)).astype(np.float32) * 0.05 - [3.0, 0.0]
         feats = np.concatenate([blob_a, blob_b])
-        items = list(zip(range(40), feats))
+        ids = np.arange(40)
 
-        std = ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 2, make_rng(4))
-        ci = ivf.build(m, items, ivf.CI, ivf.FLAT, 2, make_rng(4))
+        std = ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 2, make_rng(4))
+        ci = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 2, make_rng(4))
 
         e_item = encoder.encode_batch(m, encoder.ITEM, feats)
         e_query = encoder.encode_batch(m, encoder.QUERY, feats)
@@ -107,23 +113,32 @@ class TestBuild:
 
     def test_duplicate_ids_rejected(self, rng):
         m = linear_model(4, 4)
-        items = make_items(rng, 10, 4)
-        items[3] = (0, items[3][1])
+        ids, feats = make_items(rng, 10, 4)
+        ids[3] = 0
         with pytest.raises(DuplicateItem):
-            ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 2, make_rng(0))
+            ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 2, make_rng(0))
+
+    def test_ids_must_line_up_with_rows(self, rng):
+        m = linear_model(4, 4)
+        ids, feats = make_items(rng, 10, 4)
+        for bad_ids, bad_feats in ((ids[:9], feats), (ids, feats[:9]),
+                                   (ids[:, None], feats), (ids[:4], feats[0])):
+            with pytest.raises(DimensionMismatch):
+                ivf.build(m, bad_ids, bad_feats, ivf.STANDARD, ivf.FLAT, 2,
+                          make_rng(0))
 
     def test_too_few_items(self, rng):
         m = linear_model(4, 4)
         with pytest.raises(TooFewPoints):
-            ivf.build(m, make_items(rng, 3, 4), ivf.STANDARD, ivf.FLAT, 8,
+            ivf.build(m, *make_items(rng, 3, 4), ivf.STANDARD, ivf.FLAT, 8,
                       make_rng(0))
 
     def test_pq_residual_space_ablation(self, rng):
         m = linear_model(6, 6, seed=3)
-        items = make_items(rng, 64, 6)
-        a = ivf.build(m, items, ivf.CI, ivf.PQ, 2, make_rng(0), pq_m=2,
+        ids, feats = make_items(rng, 64, 6)
+        a = ivf.build(m, ids, feats, ivf.CI, ivf.PQ, 2, make_rng(0), pq_m=2,
                       pq_ksub=8, residual_space=ivf.RESIDUAL_REPR)
-        b = ivf.build(m, items, ivf.CI, ivf.PQ, 2, make_rng(0), pq_m=2,
+        b = ivf.build(m, ids, feats, ivf.CI, ivf.PQ, 2, make_rng(0), pq_m=2,
                       pq_ksub=8, residual_space=ivf.RESIDUAL_STRUCT)
         assert a.residual_space == ivf.RESIDUAL_REPR
         assert b.residual_space == ivf.RESIDUAL_STRUCT
@@ -133,26 +148,25 @@ class TestBuild:
 class TestSearch:
     def test_exhaustive_probe_equals_brute_force(self, rng):
         m = linear_model(5, 5, seed=6)
-        items = make_items(rng, 100, 5)
+        ids, feats = make_items(rng, 100, 5)
         for mode in (ivf.STANDARD, ivf.CI):
-            index = ivf.build(m, items, mode, ivf.FLAT, 8, make_rng(2))
-            corpus = list(zip([i for i, _ in items],
-                              encoder.encode_batch(m, encoder.ITEM,
-                                                   [f for _, f in items])))
+            index = ivf.build(m, ids, feats, mode, ivf.FLAT, 8, make_rng(2))
+            e_items = encoder.encode_batch(m, encoder.ITEM, feats)
             for _ in range(10):
                 q = rng.normal(size=5).astype(np.float32)
                 got = ivf.search(index, m, q, 8, 10)
-                ref = evaluation.brute_force_search(
-                    corpus, encoder.encode_batch(m, encoder.QUERY, q)[0], 10)
-                assert got.ranked == ref.ranked
+                ref_ids, ref_dists = evaluation.brute_force_search(
+                    ids, e_items, encoder.encode_batch(m, encoder.QUERY, q),
+                    10)
+                assert got.ranked == ranked(ref_ids[0], ref_dists[0])
 
     def test_stored_payload_query_ranks_first(self, rng):
         # With identical towers the query encoding of an item's feature
         # equals its stored payload exactly.
         m = symmetric_model(4, seed=8)
-        items = make_items(rng, 40, 4)
-        index = ivf.build(m, items, ivf.STANDARD, ivf.FLAT, 4, make_rng(1))
-        result = ivf.search(index, m, items[17][1], 4, 5)
+        ids, feats = make_items(rng, 40, 4)
+        index = ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 4, make_rng(1))
+        result = ivf.search(index, m, feats[17], 4, 5)
         assert result.ranked[0][0] == 17
         assert result.ranked[0][1] == pytest.approx(0.0, abs=1e-10)
 
@@ -160,9 +174,9 @@ class TestSearch:
         # nlist=1, m=1, one codeword per item: residual quantization is exact,
         # so ADC scores equal the Flat distances.
         m = linear_model(4, 4, seed=9)
-        items = make_items(rng, 24, 4)
-        flat = ivf.build(m, items, ivf.CI, ivf.FLAT, 1, make_rng(0))
-        pq = ivf.build(m, items, ivf.CI, ivf.PQ, 1, make_rng(0), pq_m=1,
+        ids, feats = make_items(rng, 24, 4)
+        flat = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 1, make_rng(0))
+        pq = ivf.build(m, ids, feats, ivf.CI, ivf.PQ, 1, make_rng(0), pq_m=1,
                        pq_ksub=24)
         assert pq.mean_reconstruction_error == pytest.approx(0.0, abs=1e-10)
         for _ in range(5):
@@ -176,7 +190,7 @@ class TestSearch:
 
     def test_probed_cluster_count(self, rng):
         m = linear_model(4, 4)
-        index = ivf.build(m, make_items(rng, 50, 4), ivf.CI, ivf.FLAT, 8,
+        index = ivf.build(m, *make_items(rng, 50, 4), ivf.CI, ivf.FLAT, 8,
                           make_rng(0))
         for nprobe in (1, 3, 8, 20):
             result = ivf.search(index, m, rng.normal(size=4).astype(np.float32),
@@ -185,7 +199,7 @@ class TestSearch:
 
     def test_bad_arguments(self, rng):
         m = linear_model(4, 4)
-        index = ivf.build(m, make_items(rng, 20, 4), ivf.CI, ivf.FLAT, 2,
+        index = ivf.build(m, *make_items(rng, 20, 4), ivf.CI, ivf.FLAT, 2,
                           make_rng(0))
         with pytest.raises(ValueError):
             ivf.search(index, m, np.zeros(4, dtype=np.float32), 0, 5)
@@ -196,7 +210,7 @@ class TestSearch:
 class TestSerialization:
     def test_flat_round_trip(self, rng, tmp_path):
         m = linear_model(5, 5, seed=1)
-        index = ivf.build(m, make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
+        index = ivf.build(m, *make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
                           make_rng(3))
         path = tmp_path / "index.scix"
         ivf.save(index, path)
@@ -212,7 +226,7 @@ class TestSerialization:
 
     def test_pq_round_trip(self, rng, tmp_path):
         m = linear_model(8, 8, seed=2)
-        index = ivf.build(m, make_items(rng, 80, 8), ivf.CI, ivf.PQ, 4,
+        index = ivf.build(m, *make_items(rng, 80, 8), ivf.CI, ivf.PQ, 4,
                           make_rng(3), pq_m=2, pq_ksub=8,
                           residual_space=ivf.RESIDUAL_STRUCT)
         path = tmp_path / "index.scix"
@@ -228,7 +242,7 @@ class TestSerialization:
 
     def test_search_identical_after_round_trip(self, rng, tmp_path):
         m = linear_model(5, 5, seed=1)
-        index = ivf.build(m, make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
+        index = ivf.build(m, *make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
                           make_rng(3))
         path = tmp_path / "index.scix"
         ivf.save(index, path)
@@ -239,7 +253,7 @@ class TestSerialization:
 
     def test_truncation_detected(self, rng, tmp_path):
         m = linear_model(5, 5, seed=1)
-        index = ivf.build(m, make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
+        index = ivf.build(m, *make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
                           make_rng(3))
         path = tmp_path / "index.scix"
         ivf.save(index, path)
@@ -257,7 +271,7 @@ class TestSerialization:
 
     def test_trailing_bytes(self, rng, tmp_path):
         m = linear_model(5, 5, seed=1)
-        index = ivf.build(m, make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
+        index = ivf.build(m, *make_items(rng, 60, 5), ivf.CI, ivf.FLAT, 4,
                           make_rng(3))
         path = tmp_path / "index.scix"
         ivf.save(index, path)
@@ -299,7 +313,7 @@ class TestSerialization:
 
     def test_pq_code_not_below_ksub(self, rng, tmp_path):
         m = linear_model(8, 8, seed=2)
-        index = ivf.build(m, make_items(rng, 80, 8), ivf.CI, ivf.PQ, 4,
+        index = ivf.build(m, *make_items(rng, 80, 8), ivf.CI, ivf.PQ, 4,
                           make_rng(3), pq_m=2, pq_ksub=16)
         path = tmp_path / "index.scix"
         ivf.save(index, path)
@@ -315,7 +329,7 @@ class TestSerialization:
 
     def test_non_finite_payload(self, rng, tmp_path):
         m = linear_model(4, 4, seed=2)
-        index = ivf.build(m, make_items(rng, 40, 4), ivf.CI, ivf.FLAT, 2,
+        index = ivf.build(m, *make_items(rng, 40, 4), ivf.CI, ivf.FLAT, 2,
                           make_rng(3))
         path = tmp_path / "index.scix"
         ivf.save(index, path)
