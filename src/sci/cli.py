@@ -161,13 +161,13 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_triplet_batches(data_dir, batch_size=64):
+def _load_triplet_batches(data_dir):
     q, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_q.sciv"))
     pos, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_pos.sciv"))
     neg, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_neg.sciv"))
     batches = []
-    for start in range(0, len(q), batch_size):
-        stop = start + batch_size
+    for start in range(0, len(q), data_io.TRIPLET_BATCH_SIZE):
+        stop = start + data_io.TRIPLET_BATCH_SIZE
         batches.append(training.TripletBatch(q[start:stop], pos[start:stop],
                                              neg[start:stop]))
     return batches

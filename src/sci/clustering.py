@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import pairwise_sq_dists
+from .core import nearest, pairwise_sq_dists
 from .errors import DimensionMismatch, TooFewPoints
 
-MAX_ITERS_DEFAULT = 25
-TOL_DEFAULT = 1e-4
+MAX_ITERS = 25
+TOL = 1e-4
 
 
 @dataclass
@@ -46,8 +46,7 @@ def _kmeans_pp_init(x64, k, rng):
     centers = np.empty((k, x64.shape[1]))
     first = int(rng.integers(0, n))
     centers[0] = x64[first]
-    diff = x64 - centers[0]
-    closest = np.einsum("ij,ij->i", diff, diff)
+    closest = pairwise_sq_dists(x64, centers[:1])[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -58,13 +57,12 @@ def _kmeans_pp_init(x64, k, rng):
             idx = int(np.searchsorted(np.cumsum(closest), r))
             idx = min(idx, n - 1)
         centers[j] = x64[idx]
-        diff = x64 - centers[j]
-        closest = np.minimum(closest, np.einsum("ij,ij->i", diff, diff))
+        closest = np.minimum(closest,
+                             pairwise_sq_dists(x64, centers[j:j + 1])[:, 0])
     return centers
 
 
-def kmeans(vectors, k: int, max_iters: int = MAX_ITERS_DEFAULT,
-           tol: float = TOL_DEFAULT, rng=None) -> Centroids:
+def kmeans(vectors, k: int, rng=None) -> Centroids:
     """Cluster into exactly k centers; inertia is non-increasing per iteration."""
     x = np.asarray(vectors, dtype=np.float32)
     if x.ndim != 2:
@@ -80,12 +78,9 @@ def kmeans(vectors, k: int, max_iters: int = MAX_ITERS_DEFAULT,
     centers = _kmeans_pp_init(x64, k, rng)
 
     inertia_history = []
-    labels = None
     iterations = 0
-    for it in range(max_iters):
-        dists = pairwise_sq_dists(x64, centers)
-        labels = np.argmin(dists, axis=1)
-        point_d = dists[np.arange(n), labels]
+    for it in range(MAX_ITERS):
+        labels, point_d = nearest(x64, centers)
 
         counts = np.bincount(labels, minlength=k)
         empties = np.flatnonzero(counts == 0)
@@ -109,11 +104,10 @@ def kmeans(vectors, k: int, max_iters: int = MAX_ITERS_DEFAULT,
         move = new_centers - centers
         shift = float(np.max(np.sqrt(np.einsum("ij,ij->i", move, move))))
         centers = new_centers
-        if shift < tol:
+        if shift < TOL:
             break
 
-    final_dists = pairwise_sq_dists(x64, centers)
-    final_inertia = float(final_dists[np.arange(n), np.argmin(final_dists, axis=1)].sum())
+    final_inertia = float(nearest(x64, centers)[1].sum())
     inertia_history.append(final_inertia)
     return Centroids(centers.astype(np.float32), final_inertia, iterations,
                      inertia_history)
@@ -124,6 +118,4 @@ def assign_batch(centroids: Centroids, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] != centroids.dim:
         raise DimensionMismatch(f"shape {x.shape} vs centroids dim {centroids.dim}")
-    d = pairwise_sq_dists(x, centroids.centers)
-    labels = np.argmin(d, axis=1)
-    return labels, d[np.arange(x.shape[0]), labels]
+    return nearest(x, centroids.centers)

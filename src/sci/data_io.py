@@ -35,6 +35,7 @@ from .training import TripletBatch
 _VEC_MAGIC = b"SCIV"
 _MODEL_MAGIC = b"SCIM"
 _VERSION = 1
+TRIPLET_BATCH_SIZE = 64  # per training batch, generated and read back alike
 
 
 @dataclass
@@ -94,8 +95,8 @@ def standard_benchmark(seed: int) -> SyntheticSpec:
                          noise_sigma=0.1, seed=seed)
 
 
-def gen_synthetic(spec: SyntheticSpec, triplets_per_query: int = 4,
-                  batch_size: int = 64) -> SyntheticData:
+def gen_synthetic(spec: SyntheticSpec,
+                  triplets_per_query: int = 4) -> SyntheticData:
     """Deterministic corpus, triplet batches and qrels from a seed.
 
     Relevance comes from latent cluster identity, independent of any model:
@@ -140,8 +141,8 @@ def gen_synthetic(spec: SyntheticSpec, triplets_per_query: int = 4,
             pos_feats.append(item_features[pos])
             neg_feats.append(item_features[neg])
     triplets = []
-    for start in range(0, len(q_feats), batch_size):
-        stop = start + batch_size
+    for start in range(0, len(q_feats), TRIPLET_BATCH_SIZE):
+        stop = start + TRIPLET_BATCH_SIZE
         triplets.append(TripletBatch(np.asarray(q_feats[start:stop]),
                                      np.asarray(pos_feats[start:stop]),
                                      np.asarray(neg_feats[start:stop])))

@@ -58,13 +58,17 @@ def _similarities(model, queries, items, tower_q, tower_i) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _alignment(model, queries, items, direct) -> AlignmentReport:
+    swapped = _similarities(model, queries, items, encoder.ITEM, encoder.QUERY)
+    err = float(np.mean((direct - swapped) ** 2))
+    return AlignmentReport(err, len(direct))
+
+
 def alignment_error(model, queries, items) -> AlignmentReport:
     """Mean over pairs (queries[r], items[r]) of
     (S(f_q(Q), f_i(I)) - S(f_i(Q), f_q(I)))^2."""
     direct = _similarities(model, queries, items, encoder.QUERY, encoder.ITEM)
-    swapped = _similarities(model, queries, items, encoder.ITEM, encoder.QUERY)
-    err = float(np.mean((direct - swapped) ** 2))
-    return AlignmentReport(err, len(direct))
+    return _alignment(model, queries, items, direct)
 
 
 def _sample_cov(x: np.ndarray) -> np.ndarray:
@@ -100,25 +104,30 @@ def anisotropy(model, inputs, epsilon: float = EPS_DEFAULT) -> AnisotropyReport:
     return AnisotropyReport(cond_q, cond_i, gap, floored_q, floored_i)
 
 
+def _stats(direct) -> SimilarityStats:
+    sims = np.sort(direct)
+    median = float(sims[(len(sims) - 1) // 2])
+    return SimilarityStats(float(np.mean(sims)), median, float(sims[0]),
+                           float(sims[-1]), float(np.std(sims)))
+
+
 def pair_similarity_stats(model, queries, items) -> SimilarityStats:
     """Statistics of S(f_q(Q), f_i(I)) over the pairs (queries[r], items[r]).
 
     Median is the lower middle element for even counts.
     """
-    sims = np.sort(_similarities(model, queries, items, encoder.QUERY,
-                                 encoder.ITEM))
-    median = float(sims[(len(sims) - 1) // 2])
-    return SimilarityStats(float(np.mean(sims)), median, float(sims[0]),
-                           float(sims[-1]), float(np.std(sims)))
+    return _stats(_similarities(model, queries, items, encoder.QUERY,
+                                encoder.ITEM))
 
 
 def diagnose(model, queries, items, inputs,
              epsilon: float = EPS_DEFAULT) -> dict:
     """All three reports as one plain dict (the JSON document of the
     `diagnose` CLI subcommand); the pairs are (queries[r], items[r])."""
-    align = alignment_error(model, queries, items)
+    direct = _similarities(model, queries, items, encoder.QUERY, encoder.ITEM)
+    align = _alignment(model, queries, items, direct)
     aniso = anisotropy(model, inputs, epsilon)
-    stats = pair_similarity_stats(model, queries, items)
+    stats = _stats(direct)
     return {
         "alignment_error": align.alignment_error,
         "n_pairs": align.n_pairs,

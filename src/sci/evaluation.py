@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ivf
-from .core import pairwise_sq_dists
+from .core import as_ids, pairwise_sq_dists, top_k
 from .errors import DimensionMismatch, MismatchedCorpora
 
 METRICS = ("precision", "recall", "mrr", "ndcg")
@@ -28,7 +28,7 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = np.asarray(ids, dtype=np.uint64)
+    ids = as_ids(ids)
     X = np.asarray(X, dtype=np.float32)
     Q = np.asarray(Q, dtype=np.float32)
     if (X.ndim != 2 or ids.shape != (len(X),) or Q.ndim != 2
@@ -39,7 +39,7 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
     out_dists = np.empty(out_ids.shape, dtype=np.float64)
     for row, q in enumerate(Q):
         d = pairwise_sq_dists(X, q[None])[:, 0]
-        order = np.lexsort((ids, d))[:k]
+        order = top_k(d, ids, k)
         out_ids[row] = ids[order]
         out_dists[row] = d[order]
     return out_ids, out_dists
@@ -106,13 +106,13 @@ class EvalReport:
     n_skipped: int
 
 
-def evaluate(run, qrels, k_list, graded_ndcg: bool = False) -> EvalReport:
+def evaluate(run, qrels, k_list) -> EvalReport:
     values = {}
     for k in k_list:
         values[f"precision@{k}"] = precision_at_k(run, qrels, k)
         values[f"recall@{k}"] = recall_at_k(run, qrels, k)
         values[f"mrr@{k}"] = mrr_at_k(run, qrels, k)
-        values[f"ndcg@{k}"] = ndcg_at_k(run, qrels, k, graded_ndcg)
+        values[f"ndcg@{k}"] = ndcg_at_k(run, qrels, k)
     return EvalReport(values, len(run), skipped_queries(run, qrels))
 
 
@@ -141,7 +141,7 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
     """
     if index_std.n_items != index_ci.n_items or index_std.dim != index_ci.dim:
         raise MismatchedCorpora("indexes do not cover the same corpus")
-    query_ids = np.asarray(query_ids, dtype=np.uint64)
+    query_ids = as_ids(query_ids)
     Q = np.asarray(Q, dtype=np.float32)
     if Q.ndim != 2 or query_ids.shape != (len(Q),):
         raise DimensionMismatch(f"query_ids {query_ids.shape} do not line up "

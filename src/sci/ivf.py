@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data_io, encoder
 from .clustering import Centroids, assign_batch, kmeans
-from .core import pairwise_sq_dists
+from .core import as_ids, pairwise_sq_dists, top_k
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
                      TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
@@ -64,7 +64,7 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
         raise ValueError(f"unknown variant {variant!r}")
     if residual_space not in (RESIDUAL_REPR, RESIDUAL_STRUCT):
         raise ValueError(f"unknown residual_space {residual_space!r}")
-    ids = np.asarray(ids, dtype=np.uint64)
+    ids = as_ids(ids)
     X = np.asarray(X, dtype=np.float32)
     if X.ndim != 2 or ids.shape != (len(X),):
         raise DimensionMismatch(
@@ -114,7 +114,7 @@ def search(index: IvfIndex, model, query_feature, nprobe: int, k: int) -> Search
                                np.reshape(query_feature, (1, -1)))[0]
     c_dists = pairwise_sq_dists(e_q.reshape(1, -1), index.centroids.centers)[0]
     n_probe = min(nprobe, index.nlist)
-    probed = np.lexsort((np.arange(index.nlist), c_dists))[:n_probe]
+    probed = top_k(c_dists, np.arange(index.nlist), n_probe)
 
     all_ids = []
     all_dists = []
@@ -137,7 +137,7 @@ def search(index: IvfIndex, model, query_feature, nprobe: int, k: int) -> Search
         return SearchResult([], [int(j) for j in probed])
     ids = np.concatenate(all_ids)
     dists = np.concatenate(all_dists)
-    order = np.lexsort((ids, dists))[:k]
+    order = top_k(dists, ids, k)
     ranked = [(int(ids[i]), float(dists[i])) for i in order]
     return SearchResult(ranked, [int(j) for j in probed])
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import kmeans
-from .core import pairwise_sq_dists
+from .core import nearest
 from .errors import BadSubspaceSplit, CorruptCode, DimensionMismatch
 
 
@@ -68,8 +68,7 @@ def pq_encode_batch(cb: PqCodebook, r) -> np.ndarray:
     subs = _split(x, cb.m, cb.sub_dim)
     codes = np.empty((x.shape[0], cb.m), dtype=np.uint8)
     for s in range(cb.m):
-        d = pairwise_sq_dists(subs[:, s, :], cb.codebooks[s])
-        codes[:, s] = np.argmin(d, axis=1)  # argmin ties -> lowest index
+        codes[:, s] = nearest(subs[:, s, :], cb.codebooks[s])[0]
     return codes
 
 

@@ -70,7 +70,6 @@ class TrainConfig:
     learning_rate: float
     seed: int
     loss: LossConfig = field(default_factory=LossConfig)
-    log_every: int = 10
 
 
 @dataclass

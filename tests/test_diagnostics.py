@@ -167,3 +167,24 @@ class TestDiagnose:
                                "cond_i", "cov_fro_gap", "pair_stats"}
         assert set(report["pair_stats"]) == {"mean", "median", "min", "max",
                                              "std"}
+
+    def test_encodes_each_pair_tower_once(self, rng):
+        # direct and swapped similarities (2 towers x 2 sides each) plus both
+        # towers over the pooled inputs: the direct pairs are shared with the
+        # pair statistics, not encoded again
+        m = pair_model(4, seed=2)
+        pairs = rng.normal(size=(6, 2, 4))
+        before = m.encode_calls
+        diagnostics.diagnose(m, pairs[:, 0], pairs[:, 1],
+                             rng.normal(size=(30, 4)))
+        assert m.encode_calls - before == 4 * 6 + 2 * 30
+
+    def test_matches_the_public_reports(self, rng):
+        m = pair_model(4, seed=3)
+        pairs = rng.normal(size=(7, 2, 4))
+        report = diagnostics.diagnose(m, pairs[:, 0], pairs[:, 1],
+                                      rng.normal(size=(30, 4)))
+        align = diagnostics.alignment_error(m, pairs[:, 0], pairs[:, 1])
+        stats = diagnostics.pair_similarity_stats(m, pairs[:, 0], pairs[:, 1])
+        assert report["alignment_error"] == align.alignment_error
+        assert report["pair_stats"] == vars(stats)
