@@ -76,6 +76,7 @@ def kmeans(vectors, k: int, rng=None) -> Centroids:
         raise ValueError("an explicit rng is required for determinism")
     x64 = x.astype(np.float64)
     centers = _kmeans_pp_init(x64, k, rng)
+    cols = np.ascontiguousarray(x64.T)
 
     inertia_history = []
     iterations = 0
@@ -98,8 +99,11 @@ def kmeans(vectors, k: int, rng=None) -> Centroids:
         inertia_history.append(inertia)
         iterations = it + 1
 
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, x64)
+        # bincount adds each cluster's rows in row order, as np.add.at does,
+        # so the sums are bitwise the same.
+        sums = np.empty_like(centers)
+        for j, col in enumerate(cols):
+            sums[:, j] = np.bincount(labels, weights=col, minlength=k)
         new_centers = sums / counts[:, None]
         move = new_centers - centers
         shift = float(np.max(np.sqrt(np.einsum("ij,ij->i", move, move))))

@@ -1,10 +1,15 @@
 """Dense vector primitives: float32 storage, 64-bit accumulation, seeded RNG,
-and the package's one squared-L2 kernel with its nearest / top-k rules.
+and the package's squared-L2 selection: one exact per-pair arithmetic
+(`_sum_sq` over an explicit difference), the all-pairs kernel built on it, and
+the nearest / top-k rules.
 
 Vectors and matrices are plain numpy float32 arrays. All reductions are
 performed in float64 so results do not drift with vector length. Every k-means
 assignment, PQ encode, coarse probe, list scan and exact search selects through
 `nearest` (ties to the lowest index) or `top_k` (ties by ascending key).
+`nearest` scores with one matrix product per block of rows and returns only
+distances recomputed with the exact arithmetic, so its outputs are those of an
+argmin over `pairwise_sq_dists`, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +18,14 @@ import numpy as np
 
 from .errors import ZeroNorm
 
-# Float64 elements in one difference tensor of `pairwise_sq_dists` (512 KiB),
-# or one row of x against all of c when that alone is larger.
+# Float64 elements in one difference tensor of `pairwise_sq_dists` or one
+# score block of `nearest` (512 KiB), or one row of x against all of c when
+# that alone is larger.
 _BLOCK_ELEMS = 1 << 16
+# Unit roundoff of float64, and its smallest subnormal (the absolute error
+# bound of a product that underflows is half of it).
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -54,13 +64,19 @@ def row_normalize(x: np.ndarray) -> np.ndarray:
     return x / norms[:, None]
 
 
+def _sum_sq(diff: np.ndarray, out=None) -> np.ndarray:
+    """Sum of squares over the last axis: the one arithmetic of every exact
+    squared distance, so the kernel and `nearest`'s rerank agree bitwise."""
+    return np.einsum("...k,...k->...", diff, diff, out=out)
+
+
 def pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """All-pairs squared L2 distances, rows of x against rows of c (float64).
 
-    Computed with the explicit difference (not the expansion identity) so the
-    result is exactly the per-row sum of squared differences. Rows of x are
-    taken in blocks, so one difference tensor holds at most
-    max(_BLOCK_ELEMS, k*d) elements for c of shape (k, d); no bit changes.
+    Each entry is `_sum_sq` of the explicit difference x_i - c_j, never the
+    expansion ‖x‖² - 2x·c + ‖c‖², so it is exact up to the rounding of that
+    one sum. Rows of x are taken in blocks, so one difference tensor holds at
+    most max(_BLOCK_ELEMS, k*d) elements for c of shape (k, d); no bit changes.
     """
     x = x.astype(np.float64, copy=False)
     c = c.astype(np.float64, copy=False)
@@ -68,16 +84,73 @@ def pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     out = np.empty((x.shape[0], c.shape[0]))
     for start in range(0, x.shape[0], step):
         diff = x[start:start + step, None, :] - c[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:start + step])
+        _sum_sq(diff, out=out[start:start + step])
     return out
 
 
 def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of x, the index of its nearest row of c by squared L2
-    (ties to the lowest index) and that squared distance (float64)."""
-    d = pairwise_sq_dists(x, c)
-    idx = np.argmin(d, axis=1)
-    return idx, d[np.arange(d.shape[0]), idx]
+    (ties to the lowest index) and that squared distance (float64).
+
+    Bitwise equal to an argmin over `pairwise_sq_dists(x, c)` and the gathered
+    distance, for any BLAS summation order or thread count:
+
+    - Score. Per block of at most max(_BLOCK_ELEMS, k) scores, one matrix
+      product gives s_j = ‖c_j‖² - 2 x·c_j, which is D_j - ‖x‖² for the
+      exact distance D_j = ‖x - c_j‖².
+    - Bound (Higham, Accuracy and Stability of Numerical Algorithms, §3.1;
+      u = 2^-53, γ_m = m·u / (1 - m·u), Q = (‖x‖ + max_j ‖c_j‖)²). A dot
+      product of length d in any order is off by at most γ_d Σ|x_i||c_ji|
+      ≤ γ_d ‖x‖‖c_j‖, and ‖c_j‖² by γ_d ‖c_j‖²; the final subtraction adds
+      one rounding, so |ŝ_j - s_j| ≤ γ_{d+1} Q. The exact arithmetic's value
+      D̂_j (a difference, a square and d - 1 additions of non-negative terms)
+      is within γ_{d+2} D_j of D_j, and D_j ≤ Q. So if D̂_j ≤ D̂_w for the
+      score winner w, then D_j - D_w ≤ 2γ_{d+2} Q and
+      ŝ_j ≤ ŝ_w + (2γ_{d+1} + 2γ_{d+2}) Q < ŝ_w + 4γ_{d+2} Q.
+      The margin kept is 4γ_{d+4} Q̂: the two extra units of γ exceed the
+      roundings of Q̂, of the margin and of ŝ_w + margin (together below
+      (1 + O(d²u)) u·Q). Products that underflow add at most _TINY / 2 each,
+      4d·_TINY over the four values compared, covered by 8(d + 1)·_TINY.
+      Every exact minimiser j therefore has ŝ_j ≤ min ŝ + margin.
+    - Rerank. The kept (row, centre) pairs are recomputed with `_sum_sq` on
+      aligned gathers x[r] - c[j], and the lowest index among the exact
+      minima wins. NaN never compares greater, so a non-finite score or
+      margin keeps the whole row and the rerank decides it as argmin would.
+    """
+    x = x.astype(np.float64, copy=False)
+    c = c.astype(np.float64, copy=False)
+    n, d = x.shape
+    k = c.shape[0]
+    c_sq = _sum_sq(c)
+    c_max = np.sqrt(c_sq.max())
+    # Scaling by -2 is exact, so x @ c2.T carries the error bound of x·c.
+    c2 = -2.0 * c
+    gamma = (d + 4) * _U / (1.0 - (d + 4) * _U)
+    step = max(1, _BLOCK_ELEMS // max(1, k))
+    pair_step = max(1, _BLOCK_ELEMS // max(1, d))
+    idx = np.empty(n, dtype=np.intp)
+    dist = np.empty(n)
+    for start in range(0, n, step):
+        xb = x[start:start + step]
+        s = xb @ c2.T
+        s += c_sq
+        margin = (4.0 * gamma * (np.sqrt(_sum_sq(xb)) + c_max) ** 2
+                  + 8.0 * (d + 1) * _TINY)
+        rb = np.arange(xb.shape[0])
+        lim = s[rb, np.argmin(s, axis=1)] + margin
+        rows, cols = np.divmod(np.flatnonzero(~(s > lim[:, None])), k)
+        exact = np.empty(rows.size)
+        # All pairs of a block can tie (duplicate centres), so the gathers are
+        # cut to one difference tensor's worth of elements at a time.
+        for p in range(0, rows.size, pair_step):
+            r, j = rows[p:p + pair_step], cols[p:p + pair_step]
+            _sum_sq(xb[r] - c[j], out=exact[p:p + pair_step])
+        s.fill(np.inf)
+        s[rows, cols] = exact
+        best = np.argmin(s, axis=1)
+        idx[start:start + step] = best
+        dist[start:start + step] = s[rb, best]
+    return idx, dist
 
 
 def top_k(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:

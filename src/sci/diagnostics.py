@@ -15,6 +15,11 @@ import numpy as np
 from . import encoder
 from .errors import DimensionMismatch
 
+# Pairs encoded per block. A bounded working set keeps the allocator from
+# handing a call's few MB of float64 temporaries back to the OS and
+# page-faulting them in again on the next call.
+_PAIR_ROWS = 1024
+
 EPS_DEFAULT = 1e-12
 
 
@@ -53,9 +58,13 @@ def _similarities(model, queries, items, tower_q, tower_i) -> np.ndarray:
     if qs.ndim != 2 or qs.shape != its.shape:
         raise DimensionMismatch(
             f"query rows {qs.shape} do not line up with item rows {its.shape}")
-    a = encoder.encode_batch(model, tower_q, qs).astype(np.float64)
-    b = encoder.encode_batch(model, tower_i, its).astype(np.float64)
-    return np.einsum("ij,ij->i", a, b)
+    out = np.empty(len(qs))
+    for start in range(0, len(qs), _PAIR_ROWS):
+        rows = slice(start, start + _PAIR_ROWS)
+        a = encoder.encode_batch(model, tower_q, qs[rows]).astype(np.float64)
+        b = encoder.encode_batch(model, tower_i, its[rows]).astype(np.float64)
+        np.einsum("ij,ij->i", a, b, out=out[rows])
+    return out
 
 
 def _alignment(model, queries, items, direct) -> AlignmentReport:

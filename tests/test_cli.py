@@ -269,30 +269,91 @@ class TestCutoffLists:
         assert not (tmp_path / "s.csv").exists()
 
 
+THREAD_VARS = ("SCI_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS")
+
+
+def _blas_threads_at_numpy_import(preset):
+    """OPENBLAS_NUM_THREADS at the moment numpy is first imported, which is
+    when the BLAS library reads it, in a child that imports sci.cli with the
+    given thread variables set (and no others)."""
+    script = textwrap.dedent("""
+        import os, sys
+        seen = []
+
+        class Spy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+                return None
+
+        sys.meta_path.insert(0, Spy())
+        import sci.cli
+        print(seen[0])
+    """)
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 class TestThreadCap:
     def test_cap_is_set_before_numpy_loads(self):
-        # Records the BLAS thread variable at the moment numpy is first
-        # imported, which is when the BLAS library reads it.
-        script = textwrap.dedent("""
-            import os, sys
-            seen = []
+        assert _blas_threads_at_numpy_import({"SCI_THREADS": "1"}) == "1"
 
-            class Spy:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" and not seen:
-                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-                    return None
+    @pytest.mark.parametrize("cap, preset, want", [("1", "2", "1"),
+                                                   ("3", "2", "2"),
+                                                   ("2", "many", "2"),
+                                                   ("2", "0", "2")])
+    def test_preset_value_is_capped(self, cap, preset, want):
+        assert _blas_threads_at_numpy_import(
+            {"SCI_THREADS": cap, "OPENBLAS_NUM_THREADS": preset}) == want
 
-            sys.meta_path.insert(0, Spy())
-            import sci.cli
-            print(seen[0])
-        """)
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS")}
-        env["SCI_THREADS"] = "1"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "1"
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        # Selection scores with BLAS, whose rounding may change with the
+        # thread count; nearest's exact rerank must absorb that.
+        def pipeline(root, threads):
+            data = str(root / "data")
+            model = str(root / "model.scim")
+            items = os.path.join(data, "items.sciv")
+            commands = [
+                ["gen-data", "--items", "2000", "--queries", "60", "--dim",
+                 "16", "--clusters", "8", "--misalign", "0.8", "--noise",
+                 "0.5", "--seed", "2", "--out", data],
+                ["train", "--data", data, "--epochs", "1", "--lr", "0.05",
+                 "--mode", "additive", "--seed", "2", "--out", model],
+                ["build-index", "--model", model, "--items", items, "--mode",
+                 "ci", "--variant", "flat", "--nlist", "32", "--seed", "2",
+                 "--out", str(root / "flat.scix")],
+                ["build-index", "--model", model, "--items", items, "--mode",
+                 "standard", "--variant", "pq", "--nlist", "16", "--seed",
+                 "2", "--out", str(root / "pq.scix")],
+                ["sweep", "--model", model, "--items", items, "--queries",
+                 os.path.join(data, "queries.sciv"), "--qrels",
+                 os.path.join(data, "qrels.tsv"), "--nlist", "16",
+                 "--variant", "pq", "--nprobe", "1,4", "--seed", "2",
+                 "--out", str(root / "sweep.csv")]]
+            script = textwrap.dedent("""
+                import json, sys
+                from sci import cli
+                for argv in json.loads(sys.argv[1]):
+                    if cli.run(argv) != 0:
+                        sys.exit(f"failed: {argv}")
+            """)
+            env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+            env["SCI_THREADS"] = threads
+            src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                           env=env, capture_output=True, check=True)
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        one = pipeline(tmp_path / "one", "1")
+        two = pipeline(tmp_path / "two", "2")
+        assert len(one) >= 12 and one.keys() == two.keys()
+        for name in one:
+            assert one[name] == two[name], f"{name} differs"

@@ -21,6 +21,43 @@ def lloyd_oracle(x, k, rng, iters=50):
     return float(d[np.arange(len(x)), np.argmin(d, axis=1)].sum())
 
 
+def kmeans_reference(vectors, k, rng):
+    """Lloyd's loop as first written: the explicit all-pairs kernel, argmin,
+    np.add.at and the empty-cluster repair. Returns the Centroids fields and
+    the number of repairs."""
+    x64 = np.asarray(vectors, dtype=np.float32).astype(np.float64)
+    n = len(x64)
+    centers = clustering._kmeans_pp_init(x64, k, rng)
+    history, repairs = [], 0
+    for it in range(clustering.MAX_ITERS):
+        d = pairwise_sq_dists(x64, centers)
+        labels = np.argmin(d, axis=1)
+        point_d = d[np.arange(n), labels]
+        counts = np.bincount(labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        while empties.size:
+            eligible = np.flatnonzero(counts[labels] > 1)
+            victim = int(eligible[np.argmax(point_d[eligible])])
+            labels[victim] = empties[0]
+            point_d[victim] = 0.0
+            repairs += 1
+            counts = np.bincount(labels, minlength=k)
+            empties = np.flatnonzero(counts == 0)
+        history.append(float(point_d.sum()))
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, x64)
+        new_centers = sums / counts[:, None]
+        move = new_centers - centers
+        shift = float(np.max(np.sqrt(np.einsum("ij,ij->i", move, move))))
+        centers = new_centers
+        if shift < clustering.TOL:
+            break
+    d = pairwise_sq_dists(x64, centers)
+    inertia = float(d[np.arange(n), np.argmin(d, axis=1)].sum())
+    history.append(inertia)
+    return centers.astype(np.float32), inertia, it + 1, history, repairs
+
+
 class TestKmeans:
     def test_k1_center_is_mean(self, rng):
         x = rng.normal(size=(50, 4)).astype(np.float32)
@@ -64,6 +101,31 @@ class TestKmeans:
                       5, axis=0)
         c = clustering.kmeans(x, 4, rng=make_rng(0))
         assert c.k == 4
+
+    @pytest.mark.parametrize("case", ["blobs", "offset", "duplicates"])
+    def test_bitwise_equal_to_the_reference_loop(self, case):
+        rng = make_rng(11)
+        if case == "blobs":
+            x, k = rng.normal(size=(3000, 16)).astype(np.float32), 64
+        elif case == "offset":
+            # Far from the origin, where a matrix-product score rounds
+            # coarsely and near-ties are common.
+            x = (1e3 + rng.normal(size=(800, 8))).astype(np.float32)
+            k = 16
+        else:
+            # Six distinct points for k = 20: every iteration repairs.
+            x = np.repeat(rng.normal(size=(6, 4)).astype(np.float32), 5,
+                          axis=0)
+            k = 20
+        got = clustering.kmeans(x, k, rng=make_rng(5))
+        centers, inertia, iterations, history, repairs = kmeans_reference(
+            x, k, make_rng(5))
+        assert np.array_equal(got.centers, centers)
+        assert got.inertia == inertia
+        assert got.iterations_run == iterations
+        assert got.inertia_history == history
+        if case == "duplicates":
+            assert repairs > 0
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sci import core, evaluation, ivf
 from sci.errors import ZeroNorm
@@ -146,6 +148,33 @@ class TestPairwiseSqDists:
             np.zeros((2, 3)))
 
 
+def _argmin_oracle(x, c):
+    """argmin over the explicit kernel (first, i.e. lowest, index among the
+    minima) and the gathered distance."""
+    d = core.pairwise_sq_dists(x, c)
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(d.shape[0]), idx]
+
+
+def _one_ulp_pair(x):
+    """Two centres whose exact distances to the row x differ by one ulp."""
+    base = x + 0.5
+    # From this offset of coordinate 0, each step of one ulp of x[0] moves
+    # the squared distance by under one of its own ulps, so the candidates'
+    # distances pass through consecutive floats.
+    dist = core.pairwise_sq_dists(x[None], base[None])[0, 0]
+    step = np.spacing(x[0])
+    base[0] = x[0] + np.spacing(dist) / (8 * step)
+    cands = np.repeat(base[None], 400, axis=0)
+    cands[:, 0] += np.arange(400) * step
+    d = core.pairwise_sq_dists(x[None], cands)[0]
+    for i in range(len(d)):
+        hit = np.flatnonzero(d == np.nextafter(d[i], np.inf))
+        if hit.size:
+            return cands[i], cands[hit[0]]
+    raise AssertionError("no one-ulp pair found")
+
+
 class TestNearest:
     def test_duplicate_centres_go_to_the_lowest_index(self, rng):
         x = rng.normal(size=(50, 4))
@@ -168,6 +197,67 @@ class TestNearest:
                              for row in d])
             assert np.array_equal(idx, want)
             assert np.array_equal(dist, d[np.arange(40), want])
+
+    @pytest.mark.parametrize("offset", [1e3, 5e3, 1e4])
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_one_ulp_gap_and_a_duplicate(self, rng, offset, d):
+        for _ in range(10):
+            x = offset + rng.normal(size=(1, d))
+            near, far = _one_ulp_pair(x[0])
+            others = offset + 3.0 + rng.normal(size=(3, d))
+            # far first, then near and its exact duplicate; and near first.
+            for c, want, lost in (
+                    (np.vstack([others[:2], far, near, near, others[2:]]), 3, 2),
+                    (np.vstack([near, far, others, near]), 0, 1)):
+                exact = core.pairwise_sq_dists(x, c)[0]
+                assert exact[lost] == np.nextafter(exact[want], np.inf)
+                # The expansion identity's rounding error exceeds the one-ulp
+                # gap, so a score alone cannot order these two centres.
+                identity = (x[0] @ x[0] - 2.0 * (c @ x[0])
+                            + np.einsum("ij,ij->i", c, c))
+                assert np.abs(identity - exact).max() > np.spacing(exact[want])
+                idx, dist = core.nearest(x, c)
+                assert idx.tolist() == [want]
+                assert dist.tolist() == [exact[want]]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(n=st.integers(0, 300), k=st.integers(1, 300),
+           d=st.sampled_from([0, 1, 2, 3, 16, 17, 64, 257]),
+           offset=st.sampled_from([0.0, 1e3, 1e4]),
+           ties=st.sampled_from(["none", "duplicates", "grid"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=0, k=3, d=4, offset=0.0, ties="none", seed=0)
+    @example(n=5, k=3, d=0, offset=0.0, ties="none", seed=0)
+    @example(n=7, k=1, d=3, offset=0.0, ties="none", seed=0)
+    @example(n=300, k=300, d=16, offset=1e4, ties="duplicates", seed=1)
+    def test_equals_the_argmin_oracle_bitwise(self, n, k, d, offset, ties, seed):
+        n = min(n, 2_000_000 // (k * max(d, 1)))
+        rng = core.make_rng(seed)
+        x = offset + rng.normal(size=(n, d))
+        c = offset + rng.normal(size=(k, d))
+        if ties == "duplicates":
+            c[rng.integers(0, k, size=k // 2)] = c[0]
+            x[:n // 3] = c[rng.integers(0, k, size=n // 3)]
+        elif ties == "grid":
+            x, c = np.round(x), np.round(c)
+        for a, b in ((x, c), (x.astype(np.float32), c.astype(np.float32))):
+            idx, dist = core.nearest(a, b)
+            want_idx, want_dist = _argmin_oracle(a, b)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(dist, want_dist)
+
+    def test_memory_is_bounded_by_the_outputs(self, rng):
+        # The outputs are 2 x 20000 x 8 B = 320 KB; the full 20000 x 1024
+        # score matrix would be 164 MB. float64 inputs, so nothing is copied.
+        x = rng.normal(size=(20000, 16))
+        c = rng.normal(size=(1024, 16))
+        tracemalloc.start()
+        try:
+            core.nearest(x, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 20000 * 8 + 4 * core._BLOCK_ELEMS * 8
 
 
 class TestTopK:

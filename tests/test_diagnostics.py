@@ -5,7 +5,7 @@ from sci import diagnostics, encoder, training
 from sci.data_io import SyntheticSpec, gen_synthetic
 from sci.errors import DimensionMismatch
 
-from conftest import linear_model
+from conftest import linear_model, mlp_model
 
 
 def pair_model(dim, seed=0, normalize=True, symmetric=False):
@@ -178,6 +178,27 @@ class TestDiagnose:
         diagnostics.diagnose(m, pairs[:, 0], pairs[:, 1],
                              rng.normal(size=(30, 4)))
         assert m.encode_calls - before == 4 * 6 + 2 * 30
+
+    @pytest.mark.parametrize("model", [pair_model(16, seed=4),
+                                       mlp_model(16, 16, 32, seed=4)],
+                             ids=["linear", "mlp1"])
+    def test_blocked_pairs_equal_one_batch_bitwise(self, rng, model):
+        # Three blocks of pairs, the last one partial.
+        n = 2 * diagnostics._PAIR_ROWS + 7
+        qs = rng.normal(size=(n, 16)).astype(np.float32)
+        its = rng.normal(size=(n, 16)).astype(np.float32)
+        want = {}
+        for name, (tq, ti) in {"direct": (encoder.QUERY, encoder.ITEM),
+                               "swapped": (encoder.ITEM, encoder.QUERY)}.items():
+            a = encoder.encode_batch(model, tq, qs).astype(np.float64)
+            b = encoder.encode_batch(model, ti, its).astype(np.float64)
+            want[name] = np.einsum("ij,ij->i", a, b)
+        direct = want["direct"]
+        report = diagnostics.diagnose(model, qs, its, qs[:64])
+        assert report["alignment_error"] == float(
+            np.mean((direct - want["swapped"]) ** 2))
+        assert report["pair_stats"]["mean"] == float(np.mean(np.sort(direct)))
+        assert report["pair_stats"]["max"] == float(direct.max())
 
     def test_matches_the_public_reports(self, rng):
         m = pair_model(4, seed=3)
