@@ -244,15 +244,13 @@ def _cmd_search(args) -> int:
     model = data_io.load_model(args.model)
     index = ivf.load(args.index)
     queries, query_ids = data_io.read_vectors(args.queries)
-    rows = []
     t0 = time.perf_counter()
-    probed_total = 0
-    for qid, feat in zip(query_ids.tolist(), queries):
-        result = ivf.search(index, model, feat, args.nprobe, args.k)
-        probed_total += len(result.probed_clusters)
-        for rank, (item, score) in enumerate(result.ranked, start=1):
-            rows.append((qid, rank, item, score))
+    results = ivf.search_batch(index, model, queries, args.nprobe, args.k)
     elapsed = time.perf_counter() - t0
+    rows = [(qid, rank, item, score)
+            for qid, result in zip(query_ids.tolist(), results)
+            for rank, (item, score) in enumerate(result.ranked, start=1)]
+    probed_total = sum(len(result.probed_clusters) for result in results)
     data_io.write_run(args.out, rows)
     print(f"searched {len(queries)} queries in {elapsed:.2f}s "
           f"({probed_total // max(len(queries), 1)} lists probed per query)",

@@ -75,10 +75,10 @@ def pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     Each entry is `_sum_sq` of the explicit difference x_i - c_j, never the
     expansion ‖x‖² - 2x·c + ‖c‖², so it is exact up to the rounding of that
-    one sum. Rows of x are taken in blocks, so one difference tensor holds at
-    most max(_BLOCK_ELEMS, k*d) elements for c of shape (k, d); no bit changes.
+    one sum. Rows of x are taken in blocks and promoted to float64 there, so
+    one difference tensor holds at most max(_BLOCK_ELEMS, k*d) elements for c
+    of shape (k, d) and x is never copied whole; no bit changes.
     """
-    x = x.astype(np.float64, copy=False)
     c = c.astype(np.float64, copy=False)
     step = max(1, _BLOCK_ELEMS // max(1, c.shape[0] * x.shape[1]))
     out = np.empty((x.shape[0], c.shape[0]))
@@ -154,6 +154,7 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def top_k(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k smallest entries of d in ascending order, ties
-    broken by ascending key (all positions when k >= len(d))."""
-    return np.lexsort((keys, d))[:k]
+    """Positions of the k smallest entries of d along its last axis in
+    ascending order, ties broken by ascending key (all positions when k >=
+    d.shape[-1]); keys broadcasts against d."""
+    return np.lexsort((np.broadcast_to(keys, d.shape), d))[..., :k]

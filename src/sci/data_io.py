@@ -36,6 +36,7 @@ _VEC_MAGIC = b"SCIV"
 _MODEL_MAGIC = b"SCIM"
 _VERSION = 1
 TRIPLET_BATCH_SIZE = 64  # per training batch, generated and read back alike
+TRIPLETS_PER_QUERY = 4
 
 
 @dataclass
@@ -95,8 +96,7 @@ def standard_benchmark(seed: int) -> SyntheticSpec:
                          noise_sigma=0.1, seed=seed)
 
 
-def gen_synthetic(spec: SyntheticSpec,
-                  triplets_per_query: int = 4) -> SyntheticData:
+def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     """Deterministic corpus, triplet batches and qrels from a seed.
 
     Relevance comes from latent cluster identity, independent of any model:
@@ -134,7 +134,7 @@ def gen_synthetic(spec: SyntheticSpec,
     for q in range(spec.n_queries):
         members = np.flatnonzero(item_labels == query_labels[q])
         others = np.flatnonzero(item_labels != query_labels[q])
-        for _ in range(triplets_per_query):
+        for _ in range(TRIPLETS_PER_QUERY):
             pos = members[int(rng.integers(0, len(members)))]
             neg = others[int(rng.integers(0, len(others)))]
             q_feats.append(query_features[q])

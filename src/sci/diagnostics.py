@@ -20,7 +20,7 @@ from .errors import DimensionMismatch
 # page-faulting them in again on the next call.
 _PAIR_ROWS = 1024
 
-EPS_DEFAULT = 1e-12
+EPS_DEFAULT = 1e-12  # floor on the smallest eigenvalue in a condition number
 
 
 @dataclass
@@ -86,11 +86,9 @@ def _sample_cov(x: np.ndarray) -> np.ndarray:
     return centered.T @ centered / (x.shape[0] - 1)
 
 
-def anisotropy(model, inputs, epsilon: float = EPS_DEFAULT) -> AnisotropyReport:
+def anisotropy(model, inputs) -> AnisotropyReport:
     """Condition numbers of the per-tower embedding covariances over a pooled
     input set, plus the relative Frobenius gap between the two covariances."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
     x = np.asarray(inputs, dtype=np.float32)
     if x.shape[0] <= model.output_dim:
         raise ValueError("need more inputs than output_dim for a full-rank covariance")
@@ -103,8 +101,8 @@ def anisotropy(model, inputs, epsilon: float = EPS_DEFAULT) -> AnisotropyReport:
         evals = np.linalg.eigvalsh(cov)
         lam_min = float(evals[0])
         lam_max = float(evals[-1])
-        floored = lam_min < epsilon
-        return lam_max / max(lam_min, epsilon), floored
+        floored = lam_min < EPS_DEFAULT
+        return lam_max / max(lam_min, EPS_DEFAULT), floored
 
     cond_q, floored_q = cond(cov_q)
     cond_i, floored_i = cond(cov_i)
@@ -129,13 +127,12 @@ def pair_similarity_stats(model, queries, items) -> SimilarityStats:
                                 encoder.ITEM))
 
 
-def diagnose(model, queries, items, inputs,
-             epsilon: float = EPS_DEFAULT) -> dict:
+def diagnose(model, queries, items, inputs) -> dict:
     """All three reports as one plain dict (the JSON document of the
     `diagnose` CLI subcommand); the pairs are (queries[r], items[r])."""
     direct = _similarities(model, queries, items, encoder.QUERY, encoder.ITEM)
     align = _alignment(model, queries, items, direct)
-    aniso = anisotropy(model, inputs, epsilon)
+    aniso = anisotropy(model, inputs)
     stats = _stats(direct)
     return {
         "alignment_error": align.alignment_error,

@@ -50,27 +50,27 @@ def _relevant(qrels, qid):
 
 
 def _mean_over_queries(run, qrels, k, per_query):
-    """Mean of per_query(top-k ranked ids, relevant set, grades) over the
-    queries with a relevant item."""
+    """Mean of per_query(top-k ranked ids, relevant set) over the queries
+    with a relevant item."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = [per_query(run[qid][:k], rel, qrels[qid])
+    values = [per_query(run[qid][:k], rel)
               for qid in run if (rel := _relevant(qrels, qid))]
     return float(np.mean(values)) if values else 0.0
 
 
 def recall_at_k(run, qrels, k: int) -> float:
     return _mean_over_queries(
-        run, qrels, k, lambda top, rel, _: len(set(top) & rel) / len(rel))
+        run, qrels, k, lambda top, rel: len(set(top) & rel) / len(rel))
 
 
 def precision_at_k(run, qrels, k: int) -> float:
     return _mean_over_queries(
-        run, qrels, k, lambda top, rel, _: len(set(top) & rel) / k)
+        run, qrels, k, lambda top, rel: len(set(top) & rel) / k)
 
 
 def mrr_at_k(run, qrels, k: int) -> float:
-    def per_query(top, rel, _):
+    def per_query(top, rel):
         for rank, item in enumerate(top, start=1):
             if item in rel:
                 return 1.0 / rank
@@ -78,19 +78,15 @@ def mrr_at_k(run, qrels, k: int) -> float:
     return _mean_over_queries(run, qrels, k, per_query)
 
 
-def ndcg_at_k(run, qrels, k: int, graded: bool = False) -> float:
-    """Binary-gain NDCG by default; 2^grade - 1 gains behind the flag."""
-    def gain(g):
-        return (2.0 ** g - 1.0) if graded else 1.0
-
-    def per_query(top, rel, grades):
+def ndcg_at_k(run, qrels, k: int) -> float:
+    """Binary-gain NDCG: every relevant item gains 1, whatever its grade."""
+    def per_query(top, rel):
         dcg = 0.0
         for rank, item in enumerate(top, start=1):
             if item in rel:
-                dcg += gain(grades[item]) / math.log2(rank + 1)
-        ideal = sorted((grades[item] for item in rel), reverse=True)[:k]
-        idcg = sum(gain(g) / math.log2(r + 1)
-                   for r, g in enumerate(ideal, start=1))
+                dcg += 1.0 / math.log2(rank + 1)
+        idcg = sum(1.0 / math.log2(r + 1)
+                   for r in range(1, min(len(rel), k) + 1))
         return dcg / idcg if idcg > 0.0 else 0.0
     return _mean_over_queries(run, qrels, k, per_query)
 
@@ -151,10 +147,9 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
     grid = {}
     for method, index in (("standard", index_std), ("ci", index_ci)):
         for nprobe in nprobe_list:
-            run = {}
-            for qid, feat in zip(query_ids.tolist(), Q):
-                result = ivf.search(index, model, feat, nprobe, k_max)
-                run[qid] = [item for item, _ in result.ranked]
+            results = ivf.search_batch(index, model, Q, nprobe, k_max)
+            run = {qid: [item for item, _ in result.ranked]
+                   for qid, result in zip(query_ids.tolist(), results)}
             report = evaluate(run, qrels, k_list)
             for k in k_list:
                 for metric in METRICS:

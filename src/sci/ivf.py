@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data_io, encoder
 from .clustering import Centroids, assign_batch, kmeans
-from .core import as_ids, pairwise_sq_dists, top_k
+from .core import _BLOCK_ELEMS, as_ids, pairwise_sq_dists, top_k
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
                      TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
@@ -105,41 +105,56 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
                     mean_recon)
 
 
-def search(index: IvfIndex, model, query_feature, nprobe: int, k: int) -> SearchResult:
-    """Probe the nprobe nearest coarse clusters, score their members, return
-    the k best by ascending squared distance (ties by ascending item id)."""
+def search_batch(index: IvfIndex, model, Q, nprobe: int,
+                 k: int) -> list[SearchResult]:
+    """For each query row of Q (nq, input_dim): probe the nprobe nearest
+    coarse clusters, score their members, and return the k best by ascending
+    squared distance (ties by ascending item id).
+
+    Per block of queries: one encode, one coarse distance matrix and, for PQ,
+    one `adc_table` call; each output holds about _BLOCK_ELEMS values at most.
+    """
     if k < 1 or nprobe < 1:
         raise ValueError("k and nprobe must be >= 1")
-    e_q = encoder.encode_batch(model, encoder.QUERY,
-                               np.reshape(query_feature, (1, -1)))[0]
-    c_dists = pairwise_sq_dists(e_q.reshape(1, -1), index.centroids.centers)[0]
+    Q = np.asarray(Q)
+    if Q.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D array of queries, got {Q.shape}")
     n_probe = min(nprobe, index.nlist)
-    probed = top_k(c_dists, np.arange(index.nlist), n_probe)
+    centers = index.centroids.centers
+    cb = index.codebook
+    width = max(index.nlist, index.dim)
+    if index.variant == PQ:
+        width = max(width, n_probe * cb.m * cb.ksub)
+    step = max(1, _BLOCK_ELEMS // width)
+    results = []
+    for start in range(0, len(Q), step):
+        e_q = encoder.encode_batch(model, encoder.QUERY, Q[start:start + step])
+        probed = top_k(pairwise_sq_dists(e_q, centers), np.arange(index.nlist),
+                       n_probe)
+        if index.variant == PQ:
+            residuals = (np.repeat(e_q, n_probe, axis=0).astype(np.float64) -
+                         centers[probed.ravel()].astype(np.float64))
+            tables = adc_table(cb, residuals.astype(np.float32)).reshape(
+                len(e_q), n_probe, cb.m, cb.ksub)
+        for r, probe in enumerate(probed):
+            ids = np.concatenate([index.list_ids[j] for j in probe])
+            payloads = [index.list_payload[j] for j in probe]
+            if index.variant == FLAT:
+                dists = pairwise_sq_dists(np.concatenate(payloads),
+                                          e_q[r:r + 1])[:, 0]
+            else:
+                dists = np.concatenate([adc_distances_batch(t, codes) for
+                                        t, codes in zip(tables[r], payloads)])
+            ranked = [(int(ids[i]), float(dists[i]))
+                      for i in top_k(dists, ids, k)]
+            results.append(SearchResult(ranked, probe.tolist()))
+    return results
 
-    all_ids = []
-    all_dists = []
-    for j in probed:
-        ids = index.list_ids[j]
-        if len(ids) == 0:
-            continue
-        if index.variant == FLAT:
-            d = pairwise_sq_dists(index.list_payload[j],
-                                  e_q.reshape(1, -1))[:, 0]
-        else:
-            qr = e_q.astype(np.float64) - \
-                index.centroids.centers[j].astype(np.float64)
-            table = adc_table(index.codebook, qr.astype(np.float32))
-            d = adc_distances_batch(table, index.list_payload[j])
-        all_ids.append(ids)
-        all_dists.append(d)
 
-    if not all_ids:
-        return SearchResult([], [int(j) for j in probed])
-    ids = np.concatenate(all_ids)
-    dists = np.concatenate(all_dists)
-    order = top_k(dists, ids, k)
-    ranked = [(int(ids[i]), float(dists[i])) for i in order]
-    return SearchResult(ranked, [int(j) for j in probed])
+def search(index: IvfIndex, model, query_feature, nprobe: int, k: int) -> SearchResult:
+    """`search_batch` for one query feature vector."""
+    return search_batch(index, model, np.reshape(query_feature, (1, -1)),
+                        nprobe, k)[0]
 
 
 # ---------------------------------------------------------------------------

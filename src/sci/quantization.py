@@ -2,7 +2,8 @@
 
 Vectors are split into m contiguous sub-vectors; each subspace gets its own
 ksub-center codebook trained with the shared k-means primitive. Codes fit in
-one byte per sub-quantizer (ksub <= 256).
+one byte per sub-quantizer (ksub <= 256). ADC tables are built for a batch of
+residuals through the shared distance kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import kmeans
-from .core import nearest
+from .core import nearest, pairwise_sq_dists
 from .errors import BadSubspaceSplit, CorruptCode, DimensionMismatch
 
 
@@ -83,21 +84,24 @@ def pq_reconstruct(cb: PqCodebook, codes) -> np.ndarray:
                         codes.astype(np.intp)].reshape(codes.shape[0], cb.dim)
 
 
-def adc_table(cb: PqCodebook, query_residual) -> np.ndarray:
-    """Per-subspace squared distances from the query residual to every
-    codeword: shape (m, ksub), float64."""
-    qr = np.asarray(query_residual, dtype=np.float32)
-    if qr.shape != (cb.dim,):
-        raise DimensionMismatch(f"dim {qr.shape} vs codebook dim {cb.dim}")
-    q_subs = qr.reshape(cb.m, cb.sub_dim).astype(np.float64)
-    cw = cb.codebooks.astype(np.float64)
-    diff = cw - q_subs[:, None, :]
-    return np.einsum("mks,mks->mk", diff, diff)
+def adc_table(cb: PqCodebook, residuals) -> np.ndarray:
+    """Per-subspace squared distances from each residual row (n, dim) to
+    every codeword: shape (n, m, ksub), float64, one `pairwise_sq_dists`
+    per subspace."""
+    x = np.asarray(residuals, dtype=np.float32)
+    if x.ndim != 2 or x.shape[1] != cb.dim:
+        raise DimensionMismatch(f"expected (n, {cb.dim}) residuals")
+    subs = _split(x, cb.m, cb.sub_dim)
+    tables = np.empty((x.shape[0], cb.m, cb.ksub))
+    for s in range(cb.m):
+        tables[:, s] = pairwise_sq_dists(subs[:, s, :], cb.codebooks[s])
+    return tables
 
 
 def adc_distances_batch(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Per-row sum of table lookups: the squared distance between the query
-    residual and each code's reconstruction (up to accumulation order)."""
+    """Per-row sum of lookups in one residual's (m, ksub) table: the squared
+    distance between that residual and each code's reconstruction (up to
+    accumulation order)."""
     m = table.shape[0]
     if codes.ndim != 2 or codes.shape[1] != m:
         raise DimensionMismatch(f"codes shape {codes.shape} vs table m={m}")

@@ -288,7 +288,7 @@ def test_criterion_06_pq_adc_identities():
         qr = rng.normal(size=16).astype(np.float32)
         codes = quantization.pq_encode_batch(
             cb, rng.normal(size=(1, 16)).astype(np.float32))
-        table = quantization.adc_table(cb, qr)
+        table = quantization.adc_table(cb, qr[None])[0]
         via_table = quantization.adc_distances_batch(table, codes)[0]
         direct = pairwise_sq_dists(
             qr[None], quantization.pq_reconstruct(cb, codes))[0, 0]

@@ -117,6 +117,32 @@ class TestSearchEval:
         assert len(run) == 30
         assert all(len(ranked) == 10 for ranked in run.values())
 
+    def test_run_file_equals_a_per_query_search_loop(self, pipeline, tmp_path):
+        model = data_io.load_model(pipeline["model"])
+        queries, query_ids = data_io.read_vectors(
+            os.path.join(pipeline["data"], "queries.sciv"))
+        pq = str(tmp_path / "pq.scix")
+        run_ok(["build-index", "--model", pipeline["model"], "--items",
+                os.path.join(pipeline["data"], "items.sciv"), "--variant",
+                "pq", "--nlist", "4", "--pq-m", "2", "--pq-ksub", "8",
+                "--out", pq])
+        pq_run = str(tmp_path / "pq.tsv")
+        run_ok(["search", "--index", pq, "--model", pipeline["model"],
+                "--queries", os.path.join(pipeline["data"], "queries.sciv"),
+                "--nprobe", "2", "--k", "10", "--out", pq_run])
+        for index_path, run_path in ((pipeline["index"], pipeline["run"]),
+                                     (pq, pq_run)):
+            index = ivf.load(index_path)
+            rows = []
+            for qid, feat in zip(query_ids.tolist(), queries):
+                result = ivf.search(index, model, feat, 2, 10)
+                for rank, (item, score) in enumerate(result.ranked, start=1):
+                    rows.append((qid, rank, item, score))
+            want = tmp_path / "want.tsv"
+            data_io.write_run(want, rows)
+            with open(run_path, "rb") as fh:
+                assert fh.read() == want.read_bytes()
+
     def test_eval_csv(self, pipeline, tmp_path):
         out = str(tmp_path / "eval.csv")
         run_ok(["eval", "--run", pipeline["run"], "--qrels",
@@ -314,7 +340,9 @@ class TestThreadCap:
 
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
         # Selection scores with BLAS, whose rounding may change with the
-        # thread count; nearest's exact rerank must absorb that.
+        # thread count; nearest's exact rerank must absorb that. Search
+        # encodes its queries as one batch (a matrix product), so the run
+        # files are compared too.
         def pipeline(root, threads):
             data = str(root / "data")
             model = str(root / "model.scim")
@@ -331,6 +359,10 @@ class TestThreadCap:
                 ["build-index", "--model", model, "--items", items, "--mode",
                  "standard", "--variant", "pq", "--nlist", "16", "--seed",
                  "2", "--out", str(root / "pq.scix")],
+                *(["search", "--index", str(root / name), "--model", model,
+                   "--queries", os.path.join(data, "queries.sciv"),
+                   "--nprobe", "4", "--out", str(root / f"{name}.tsv")]
+                  for name in ("flat.scix", "pq.scix")),
                 ["sweep", "--model", model, "--items", items, "--queries",
                  os.path.join(data, "queries.sciv"), "--qrels",
                  os.path.join(data, "qrels.tsv"), "--nlist", "16",
@@ -354,6 +386,6 @@ class TestThreadCap:
 
         one = pipeline(tmp_path / "one", "1")
         two = pipeline(tmp_path / "two", "2")
-        assert len(one) >= 12 and one.keys() == two.keys()
+        assert len(one) >= 14 and one.keys() == two.keys()
         for name in one:
             assert one[name] == two[name], f"{name} differs"

@@ -117,13 +117,15 @@ class TestPairwiseSqDists:
 
     def test_blocks_equal_one_expression_bitwise(self, rng):
         # One block, several 1024-row blocks, and one row per block
-        # (k*d = 80000 > 2^16).
+        # (k*d = 80000 > 2^16). float32 inputs are promoted block by block.
         for n, k, d in ((20, 3, 6), (3000, 4, 16), (3, 5000, 16)):
-            x = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
-            c = rng.normal(size=(k, d)).astype(np.float32).astype(np.float64)
+            x32 = rng.normal(size=(n, d)).astype(np.float32)
+            c32 = rng.normal(size=(k, d)).astype(np.float32)
+            x, c = x32.astype(np.float64), c32.astype(np.float64)
             diff = x[:, None, :] - c[None, :, :]
             want = np.einsum("ijk,ijk->ij", diff, diff)
             assert np.array_equal(core.pairwise_sq_dists(x, c), want)
+            assert np.array_equal(core.pairwise_sq_dists(x32, c32), want)
 
     def test_memory_is_bounded_by_the_output(self, rng):
         # The output is 20000 x 64 float64 = 10 MB; an unblocked difference
@@ -137,6 +139,19 @@ class TestPairwiseSqDists:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_rows_of_x_are_not_copied_whole(self, rng):
+        # One row against 200000 float32 rows: the output is 1.6 MB; a float64
+        # copy of x would add 25.6 MB.
+        x = rng.normal(size=(200000, 16)).astype(np.float32)
+        c = rng.normal(size=(1, 16))
+        tracemalloc.start()
+        try:
+            core.pairwise_sq_dists(x, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200000 * 8 + 4 * core._BLOCK_ELEMS * 8
 
     def test_empty_rows(self):
         d = core.pairwise_sq_dists(np.zeros((0, 3)), np.ones((2, 3)))
@@ -275,6 +290,14 @@ class TestTopK:
             want = sorted(range(n), key=lambda i: (d[i], keys[i]))[:k]
             assert core.top_k(d, keys, k).tolist() == want
 
+    def test_rows_of_a_matrix_are_selected_independently(self, rng):
+        d = rng.integers(0, 4, size=(30, 12)).astype(np.float64)
+        keys = rng.permutation(12).astype(np.uint64)
+        got = core.top_k(d, keys, 5)
+        assert got.shape == (30, 5)
+        for row, want in zip(d, got):
+            assert np.array_equal(core.top_k(row, keys, 5), want)
+
     def test_k_at_least_n_returns_everything(self):
         d = np.array([3.0, 1.0, 2.0])
         keys = np.arange(3)
@@ -307,7 +330,7 @@ def _broadcasts_none(node):
 
 def test_difference_tensors_live_only_in_the_kernel():
     # A subtraction with a None-indexed operand builds a broadcast difference
-    # tensor. Only the kernel and adc_table's per-subspace table may do so.
+    # tensor. Only the kernel may do so.
     found = set()
     for path in SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -318,8 +341,7 @@ def test_difference_tensors_live_only_in_the_kernel():
                         and (_broadcasts_none(node.left)
                              or _broadcasts_none(node.right))):
                     found.add((path.name, fn.name))
-    assert found == {("core.py", "pairwise_sq_dists"),
-                     ("quantization.py", "adc_table")}
+    assert found == {("core.py", "pairwise_sq_dists")}
 
 
 def _build(ids, x):

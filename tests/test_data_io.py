@@ -68,9 +68,9 @@ class TestGenSynthetic:
 
     def test_triplet_labels_consistent(self):
         spec = data_io.SyntheticSpec(60, 12, 8, 4, 0.5, 0.0, 2)
-        data = data_io.gen_synthetic(spec, triplets_per_query=2)
+        data = data_io.gen_synthetic(spec)
         total = sum(len(b) for b in data.triplets)
-        assert total == 24
+        assert total == 12 * data_io.TRIPLETS_PER_QUERY
 
     def test_validation(self):
         with pytest.raises(ValueError):

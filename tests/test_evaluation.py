@@ -142,14 +142,6 @@ class TestNdcg:
         assert evaluation.ndcg_at_k(run, qrels, 3) == \
             pytest.approx(dcg / idcg, abs=1e-9)
 
-    def test_graded_gains(self):
-        run = {0: [1, 2]}
-        qrels = {0: {1: 1, 2: 3}}
-        dcg = 1.0 / math.log2(2.0) + 7.0 / math.log2(3.0)
-        idcg = 7.0 / math.log2(2.0) + 1.0 / math.log2(3.0)
-        assert evaluation.ndcg_at_k(run, qrels, 2, graded=True) == \
-            pytest.approx(dcg / idcg, abs=1e-9)
-
 
 class TestCutoffValidation:
     @pytest.mark.parametrize("metric", [evaluation.precision_at_k,

@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sci import clustering, encoder, evaluation, ivf
+from sci import core
 from sci.core import make_rng
 from sci.errors import (CorruptFile, CorruptIndex, DimensionMismatch,
                         DuplicateItem, TooFewPoints)
@@ -205,6 +207,67 @@ class TestSearch:
             ivf.search(index, m, np.zeros(4, dtype=np.float32), 0, 5)
         with pytest.raises(ValueError):
             ivf.search(index, m, np.zeros(4, dtype=np.float32), 1, 0)
+
+
+class TestSearchBatch:
+    @staticmethod
+    def _indexes(rng):
+        m = linear_model(6, 6, seed=4)
+        ids, feats = make_items(rng, 120, 6)
+        flat = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 8, make_rng(5))
+        pq = ivf.build(m, ids, feats, ivf.STANDARD, ivf.PQ, 8, make_rng(5),
+                       pq_m=2, pq_ksub=8)
+        return m, flat, pq
+
+    @pytest.mark.parametrize("block_elems", [core._BLOCK_ELEMS, 40])
+    def test_rows_equal_single_query_search(self, rng, monkeypatch,
+                                            block_elems):
+        # A small block puts several blocks, and a partial last one, in a
+        # batch of 25 queries.
+        monkeypatch.setattr(ivf, "_BLOCK_ELEMS", block_elems)
+        m, flat, pq = self._indexes(rng)
+        Q = rng.normal(size=(25, 6)).astype(np.float32)
+        for index in (flat, pq):
+            for empty in (False, True):
+                if empty:
+                    j = int(np.argmax([len(ids) for ids in index.list_ids]))
+                    index.list_ids[j] = index.list_ids[j][:0]
+                    index.list_payload[j] = index.list_payload[j][:0]
+                for nprobe in (1, 4, 8, 11):
+                    for k in (5, 200):
+                        batch = ivf.search_batch(index, m, Q, nprobe, k)
+                        assert len(batch) == len(Q)
+                        for q, got in zip(Q, batch):
+                            want = ivf.search(index, m, q, nprobe, k)
+                            assert got.ranked == want.ranked
+                            assert got.probed_clusters == want.probed_clusters
+                        if k == 200 and nprobe >= 8:
+                            assert len(batch[0].ranked) == \
+                                sum(len(ids) for ids in index.list_ids)
+
+    def test_zero_rows_and_bad_shapes(self, rng):
+        m, flat, _ = self._indexes(rng)
+        assert ivf.search_batch(flat, m, np.zeros((0, 6), np.float32), 2,
+                                5) == []
+        for shape in ((6,), (2, 3, 6)):
+            with pytest.raises(DimensionMismatch):
+                ivf.search_batch(flat, m, np.zeros(shape, np.float32), 2, 5)
+
+    def test_memory_does_not_grow_with_the_query_count(self, rng):
+        # Unblocked, the ADC tables of 300 queries probing all 16 lists with
+        # m=4, ksub=256 would take 300 x 16 x 4 x 256 x 8 B = 39 MB.
+        m = linear_model(8, 8, seed=2)
+        index = ivf.build(m, *make_items(rng, 600, 8), ivf.CI, ivf.PQ, 16,
+                          make_rng(0), pq_m=4, pq_ksub=256)
+        Q = rng.normal(size=(300, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            results = ivf.search_batch(index, m, Q, 16, 3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 300
+        assert peak - held < 6 * core._BLOCK_ELEMS * 8
 
 
 class TestSerialization:

@@ -134,21 +134,35 @@ class TestAdcTable:
                          make_rng(1))
         qr = np.concatenate([cb.codebooks[0, 2], cb.codebooks[1, 1],
                              cb.codebooks[2, 3]])
-        table = pq.adc_table(cb, qr)
+        table = pq.adc_table(cb, qr[None])[0]
         assert table[0, 2] == pytest.approx(0.0, abs=1e-10)
         assert table[1, 1] == pytest.approx(0.0, abs=1e-10)
 
     def test_entries_non_negative(self, rng):
         cb = pq.pq_train(rng.normal(size=(50, 6)).astype(np.float32), 3, 4,
                          make_rng(1))
-        table = pq.adc_table(cb, rng.normal(size=6).astype(np.float32))
+        table = pq.adc_table(cb, rng.normal(size=(5, 6)).astype(np.float32))
         assert np.all(table >= 0.0)
 
     def test_dimension_check(self, rng):
         cb = pq.pq_train(rng.normal(size=(50, 6)).astype(np.float32), 3, 4,
                          make_rng(1))
-        with pytest.raises(DimensionMismatch):
-            pq.adc_table(cb, np.zeros(5, dtype=np.float32))
+        for shape in ((1, 5), (6,), (1, 1, 6)):
+            with pytest.raises(DimensionMismatch):
+                pq.adc_table(cb, np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("dim, m", [(12, 3), (16, 8), (64, 4)])
+    def test_rows_equal_a_single_residual_oracle_bitwise(self, rng, dim, m):
+        cb = pq.pq_train(rng.normal(size=(200, dim)).astype(np.float32), m,
+                         16, make_rng(2))
+        residuals = rng.normal(size=(40, dim)).astype(np.float32)
+        tables = pq.adc_table(cb, residuals)
+        assert tables.shape == (40, m, 16)
+        cw = cb.codebooks.astype(np.float64)
+        for table, qr in zip(tables, residuals):
+            q_subs = qr.reshape(m, dim // m).astype(np.float64)
+            diff = cw - q_subs[:, None, :]
+            assert np.array_equal(table, np.einsum("mks,mks->mk", diff, diff))
 
 
 class TestAdcDistance:
@@ -160,7 +174,7 @@ class TestAdcDistance:
         cb = pq.pq_train(rng.normal(size=(40, 4)).astype(np.float32), 1, 8,
                          make_rng(4))
         qr = rng.normal(size=4).astype(np.float32)
-        table = pq.adc_table(cb, qr)
+        table = pq.adc_table(cb, qr[None])[0]
         for code in range(8):
             direct = sq_dist(qr, cb.codebooks[0, code])
             assert pq.adc_distances_batch(
@@ -174,7 +188,7 @@ class TestAdcDistance:
             qr = rng.normal(size=12).astype(np.float32)
             codes = pq.pq_encode_batch(
                 cb, rng.normal(size=(1, 12)).astype(np.float32))
-            table = pq.adc_table(cb, qr)
+            table = pq.adc_table(cb, qr[None])[0]
             via_table = pq.adc_distances_batch(table, codes)[0]
             direct = sq_dist(qr, pq.pq_reconstruct(cb, codes))
             assert via_table == pytest.approx(direct, rel=1e-5)
@@ -184,7 +198,7 @@ class TestAdcDistance:
                          make_rng(7))
         codes = pq.pq_encode_batch(cb,
                                    rng.normal(size=(10, 8)).astype(np.float32))
-        table = pq.adc_table(cb, rng.normal(size=8).astype(np.float32))
+        table = pq.adc_table(cb, rng.normal(size=(1, 8)).astype(np.float32))[0]
         batch = pq.adc_distances_batch(table, codes)
         for i in range(len(codes)):
             assert batch[i] == pq.adc_distances_batch(table, codes[i:i + 1])[0]
