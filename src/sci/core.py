@@ -7,6 +7,8 @@ Vectors and matrices are plain numpy float32 arrays. All reductions are
 performed in float64 so results do not drift with vector length. Every k-means
 assignment, PQ encode, coarse probe, list scan and exact search selects through
 `nearest` (ties to the lowest index) or `top_k` (ties by ascending key).
+`top_k` of one 1-D array sorts only the entries at or below its k-th smallest
+value, found by one partition; rows of a matrix take one full sort.
 `nearest` scores with one matrix product per block of rows and returns only
 distances recomputed with the exact arithmetic, so its outputs are those of an
 argmin over `pairwise_sq_dists`, bit for bit.
@@ -116,8 +118,10 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       aligned gathers x[r] - c[j], and the lowest index among the exact
       minima wins. NaN never compares greater, so a non-finite score or
       margin keeps the whole row and the rerank decides it as argmin would.
+
+    Rows of x are promoted to float64 one block at a time, so x is never
+    copied whole.
     """
-    x = x.astype(np.float64, copy=False)
     c = c.astype(np.float64, copy=False)
     n, d = x.shape
     k = c.shape[0]
@@ -131,7 +135,7 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.empty(n, dtype=np.intp)
     dist = np.empty(n)
     for start in range(0, n, step):
-        xb = x[start:start + step]
+        xb = x[start:start + step].astype(np.float64, copy=False)
         s = xb @ c2.T
         s += c_sq
         margin = (4.0 * gamma * (np.sqrt(_sum_sq(xb)) + c_max) ** 2
@@ -156,5 +160,19 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def top_k(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k smallest entries of d along its last axis in
     ascending order, ties broken by ascending key (all positions when k >=
-    d.shape[-1]); keys broadcasts against d."""
+    d.shape[-1]); keys (n,) holds the key of each position of that axis. The
+    result is that of a full `np.lexsort((keys, d))` cut to k, NaN last.
+
+    On a 1-D d with k < n, one `np.partition` finds the k-th smallest value
+    t, and only the positions with d <= t (every tie at the boundary kept)
+    are sorted by (d, key): O(n) plus the sort of about k survivors. A NaN t
+    falls back to the full sort. Rows of a matrix always take the full sort:
+    they are the coarse probe, nlist long, where the threshold form measured
+    slower than one sort of the whole matrix.
+    """
+    if d.ndim == 1 and 0 < k < d.shape[0]:
+        t = np.partition(d, k - 1)[k - 1]
+        if not np.isnan(t):
+            kept = np.flatnonzero(d <= t)
+            return kept[np.lexsort((keys[kept], d[kept]))[:k]]
     return np.lexsort((np.broadcast_to(keys, d.shape), d))[..., :k]

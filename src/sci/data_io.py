@@ -322,19 +322,25 @@ def load_model(path) -> encoder.DualTowerModel:
 # Qrels, runs, history
 
 
+def _tsv_fields(lines, n_fields, first_lineno=1):
+    """(line number, fields) for each non-empty line of `lines`, text decoded
+    from UTF-8 with errors replaced."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if "\ufffd" in line:
+            raise ParseError(lineno, "not valid UTF-8")
+        fields = line.rstrip("\n").split("\t")
+        if fields == [""]:
+            continue
+        if len(fields) != n_fields:
+            raise ParseError(lineno,
+                             f"expected {n_fields} tab-separated fields")
+        yield lineno, fields
+
+
 def _tsv_rows(path, n_fields):
     """(line number, fields) for each non-empty line of a UTF-8 TSV file."""
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if "\ufffd" in line:
-                raise ParseError(lineno, "not valid UTF-8")
-            fields = line.rstrip("\n").split("\t")
-            if fields == [""]:
-                continue
-            if len(fields) != n_fields:
-                raise ParseError(lineno,
-                                 f"expected {n_fields} tab-separated fields")
-            yield lineno, fields
+        yield from _tsv_fields(fh, n_fields)
 
 
 def write_qrels(path, qrels) -> None:
@@ -344,17 +350,87 @@ def write_qrels(path, qrels) -> None:
                 fh.write(f"{qid}\t{item}\t{qrels[qid][item]}\n")
 
 
+# Characters of qrels text parsed in one vectorized step; its temporaries,
+# about 2 MB, are what reading holds beyond the result.
+_QRELS_BLOCK = 1 << 17
+
+
+def _qrels_block_values(text):
+    """The integers of a block of whole qrels lines, an (n, 3) int64 array,
+    when every line is empty or three tab-separated runs of 1-18 ASCII digits
+    (so int64 holds them); None for anything else, which the caller then
+    parses line by line."""
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    tab, digit = b == 9, b - 48 < 10    # uint8 wraps below "0"
+    if not (digit | tab | (b == 10)).all():
+        return None
+    prev = np.concatenate(([False], digit[:-1]))
+    nxt = np.concatenate((digit[1:], [False]))
+    # A field on each side of every tab; then every field is followed by a
+    # tab, a newline or the end, and each non-empty line must read
+    # field \t field \t field \n.
+    if not (prev[tab] & nxt[tab]).all():
+        return None
+    starts, ends = np.flatnonzero(digit & ~prev), np.flatnonzero(digit & ~nxt)
+    seps = np.append(b, 10)[ends + 1]
+    if (len(ends) % 3 or (ends - starts).max(initial=0) >= 18
+            or not (seps.reshape(-1, 3) == (9, 9, 10)).all()):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    # Text of blank lines alone parses as [0].
+    return values.reshape(-1, 3) if values.size == len(ends) else None
+
+
+def _merge_qrels_block(qrels, values) -> bool:
+    """Add an (n, 3) block of (query, item, grade) rows to qrels in row order.
+    If a (query, item) pair repeats, within the block or from an earlier
+    one, leave qrels as it was and return False."""
+    q, items, grades = (values[:, j].tolist() for j in range(3))
+    cuts = (np.flatnonzero(values[1:, 0] != values[:-1, 0]) + 1).tolist()
+    staged = {}
+    for a, b in zip([0] + cuts, cuts + [len(q)]):
+        if a == b:
+            continue
+        rel = staged.setdefault(q[a], {})
+        size = len(rel)
+        rel.update(zip(items[a:b], grades[a:b]))
+        if len(rel) != size + b - a:
+            return False
+    if any(not qrels[qid].keys().isdisjoint(rel)
+           for qid, rel in staged.items() if qid in qrels):
+        return False
+    for qid, rel in staged.items():
+        if qid in qrels:
+            qrels[qid].update(rel)
+        else:
+            qrels[qid] = rel
+    return True
+
+
 def read_qrels(path):
-    qrels = defaultdict(dict)
-    for lineno, fields in _tsv_rows(path, 3):
-        try:
-            qid, item, grade = map(int, fields)
-        except ValueError:
-            raise ParseError(lineno, "non-integer field") from None
-        if item in qrels[qid]:
-            raise DuplicateQrel(lineno)
-        qrels[qid][item] = grade
-    return dict(qrels)
+    """query_id -> {item_id: grade}, in file order. Blocks of about
+    _QRELS_BLOCK characters are parsed with one vectorized conversion; a block
+    that does not pass every check is parsed again line by line, which raises
+    the error of its first bad line."""
+    qrels = {}
+    lineno = 1
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        while text := fh.read(_QRELS_BLOCK) + fh.readline():
+            values = _qrels_block_values(text)
+            if values is None or not _merge_qrels_block(qrels, values):
+                for at, fields in _tsv_fields(text.split("\n"), 3, lineno):
+                    try:
+                        qid, item, grade = map(int, fields)
+                    except ValueError:
+                        raise ParseError(at, "non-integer field") from None
+                    rel = qrels.setdefault(qid, {})
+                    if item in rel:
+                        raise DuplicateQrel(at)
+                    rel[item] = grade
+            lineno += text.count("\n")
+    return qrels
 
 
 def write_run(path, run_rows) -> None:

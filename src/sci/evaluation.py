@@ -45,54 +45,74 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
     return out_ids, out_dists
 
 
-def _relevant(qrels, qid):
-    return {item for item, grade in qrels.get(qid, {}).items() if grade >= 1}
+def _relevant_sets(run, qrels):
+    """qid -> relevant item set, in run order, for the queries of run that
+    have a relevant item."""
+    rels = {}
+    for qid in run:
+        rel = {item for item, grade in qrels.get(qid, {}).items() if grade >= 1}
+        if rel:
+            rels[qid] = rel
+    return rels
 
 
-def _mean_over_queries(run, qrels, k, per_query):
-    """Mean of per_query(top-k ranked ids, relevant set) over the queries
-    with a relevant item."""
+def _mean_over_queries(run, rels, k, per_query):
+    """Mean of per_query(top-k ranked ids, relevant set, k) over the queries
+    of `rels`."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = [per_query(run[qid][:k], rel)
-              for qid in run if (rel := _relevant(qrels, qid))]
+    values = [per_query(run[qid][:k], rel, k) for qid, rel in rels.items()]
     return float(np.mean(values)) if values else 0.0
 
 
+def _precision(top, rel, k):
+    return len(set(top) & rel) / k
+
+
+def _recall(top, rel, k):
+    return len(set(top) & rel) / len(rel)
+
+
+def _reciprocal_rank(top, rel, k):
+    for rank, item in enumerate(top, start=1):
+        if item in rel:
+            return 1.0 / rank
+    return 0.0
+
+
+def _ndcg(top, rel, k):
+    dcg = 0.0
+    for rank, item in enumerate(top, start=1):
+        if item in rel:
+            dcg += 1.0 / math.log2(rank + 1)
+    idcg = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(rel), k) + 1))
+    return dcg / idcg if idcg > 0.0 else 0.0
+
+
+_PER_QUERY = {"precision": _precision, "recall": _recall,
+              "mrr": _reciprocal_rank, "ndcg": _ndcg}
+
+
 def recall_at_k(run, qrels, k: int) -> float:
-    return _mean_over_queries(
-        run, qrels, k, lambda top, rel: len(set(top) & rel) / len(rel))
+    return _mean_over_queries(run, _relevant_sets(run, qrels), k, _recall)
 
 
 def precision_at_k(run, qrels, k: int) -> float:
-    return _mean_over_queries(
-        run, qrels, k, lambda top, rel: len(set(top) & rel) / k)
+    return _mean_over_queries(run, _relevant_sets(run, qrels), k, _precision)
 
 
 def mrr_at_k(run, qrels, k: int) -> float:
-    def per_query(top, rel):
-        for rank, item in enumerate(top, start=1):
-            if item in rel:
-                return 1.0 / rank
-        return 0.0
-    return _mean_over_queries(run, qrels, k, per_query)
+    return _mean_over_queries(run, _relevant_sets(run, qrels), k,
+                              _reciprocal_rank)
 
 
 def ndcg_at_k(run, qrels, k: int) -> float:
     """Binary-gain NDCG: every relevant item gains 1, whatever its grade."""
-    def per_query(top, rel):
-        dcg = 0.0
-        for rank, item in enumerate(top, start=1):
-            if item in rel:
-                dcg += 1.0 / math.log2(rank + 1)
-        idcg = sum(1.0 / math.log2(r + 1)
-                   for r in range(1, min(len(rel), k) + 1))
-        return dcg / idcg if idcg > 0.0 else 0.0
-    return _mean_over_queries(run, qrels, k, per_query)
+    return _mean_over_queries(run, _relevant_sets(run, qrels), k, _ndcg)
 
 
 def skipped_queries(run, qrels) -> int:
-    return sum(1 for qid in run if not _relevant(qrels, qid))
+    return len(run) - len(_relevant_sets(run, qrels))
 
 
 @dataclass
@@ -103,13 +123,13 @@ class EvalReport:
 
 
 def evaluate(run, qrels, k_list) -> EvalReport:
-    values = {}
-    for k in k_list:
-        values[f"precision@{k}"] = precision_at_k(run, qrels, k)
-        values[f"recall@{k}"] = recall_at_k(run, qrels, k)
-        values[f"mrr@{k}"] = mrr_at_k(run, qrels, k)
-        values[f"ndcg@{k}"] = ndcg_at_k(run, qrels, k)
-    return EvalReport(values, len(run), skipped_queries(run, qrels))
+    """Every metric of METRICS at every cutoff of k_list, the relevant sets
+    built once."""
+    rels = _relevant_sets(run, qrels)
+    values = {f"{metric}@{k}": _mean_over_queries(run, rels, k,
+                                                  _PER_QUERY[metric])
+              for k in k_list for metric in METRICS}
+    return EvalReport(values, len(run), len(run) - len(rels))
 
 
 @dataclass

@@ -113,6 +113,10 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
 
     Per block of queries: one encode, one coarse distance matrix and, for PQ,
     one `adc_table` call; each output holds about _BLOCK_ELEMS values at most.
+    Per query: one scoring call over all its candidates. For PQ that is one
+    ADC gather: the query's n_probe tables sit side by side as one (m,
+    n_probe * ksub) table, and a code c from the list probed p-th looks up
+    column p * ksub + c, so each lookup and each sum is the per-list one.
     """
     if k < 1 or nprobe < 1:
         raise ValueError("k and nprobe must be >= 1")
@@ -125,6 +129,8 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
     width = max(index.nlist, index.dim)
     if index.variant == PQ:
         width = max(width, n_probe * cb.m * cb.ksub)
+        sizes = np.array([len(ids) for ids in index.list_ids])
+        offsets = np.arange(n_probe) * cb.ksub
     step = max(1, _BLOCK_ELEMS // width)
     results = []
     for start in range(0, len(Q), step):
@@ -135,19 +141,20 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
             residuals = (np.repeat(e_q, n_probe, axis=0).astype(np.float64) -
                          centers[probed.ravel()].astype(np.float64))
             tables = adc_table(cb, residuals.astype(np.float32)).reshape(
-                len(e_q), n_probe, cb.m, cb.ksub)
+                len(e_q), n_probe, cb.m, cb.ksub).transpose(0, 2, 1, 3).reshape(
+                len(e_q), cb.m, n_probe * cb.ksub)
         for r, probe in enumerate(probed):
             ids = np.concatenate([index.list_ids[j] for j in probe])
-            payloads = [index.list_payload[j] for j in probe]
+            payload = np.concatenate([index.list_payload[j] for j in probe])
             if index.variant == FLAT:
-                dists = pairwise_sq_dists(np.concatenate(payloads),
-                                          e_q[r:r + 1])[:, 0]
+                dists = pairwise_sq_dists(payload, e_q[r:r + 1])[:, 0]
             else:
-                dists = np.concatenate([adc_distances_batch(t, codes) for
-                                        t, codes in zip(tables[r], payloads)])
-            ranked = [(int(ids[i]), float(dists[i]))
-                      for i in top_k(dists, ids, k)]
-            results.append(SearchResult(ranked, probe.tolist()))
+                codes = payload + np.repeat(offsets, sizes[probe])[:, None]
+                dists = adc_distances_batch(tables[r], codes)
+            order = top_k(dists, ids, k)
+            results.append(SearchResult(
+                list(zip(ids[order].tolist(), dists[order].tolist())),
+                probe.tolist()))
     return results
 
 

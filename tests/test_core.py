@@ -261,18 +261,31 @@ class TestNearest:
             assert np.array_equal(idx, want_idx)
             assert np.array_equal(dist, want_dist)
 
-    def test_memory_is_bounded_by_the_outputs(self, rng):
-        # The outputs are 2 x 20000 x 8 B = 320 KB; the full 20000 x 1024
-        # score matrix would be 164 MB. float64 inputs, so nothing is copied.
-        x = rng.normal(size=(20000, 16))
-        c = rng.normal(size=(1024, 16))
+    @staticmethod
+    def _nearest_peak(x, c):
         tracemalloc.start()
         try:
             core.nearest(x, c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 20000 * 8 + 4 * core._BLOCK_ELEMS * 8
+        return peak
+
+    def test_memory_is_bounded_by_the_outputs(self, rng):
+        # The outputs are 2 x 20000 x 8 B = 320 KB; the full 20000 x 1024
+        # score matrix would be 164 MB. float64 inputs, so nothing is copied.
+        x = rng.normal(size=(20000, 16))
+        c = rng.normal(size=(1024, 16))
+        assert (self._nearest_peak(x, c)
+                < 2 * 20000 * 8 + 4 * core._BLOCK_ELEMS * 8)
+
+    def test_float32_memory_is_bounded_by_the_outputs(self, rng):
+        # A float64 copy of all of x would be 20000 x 16 x 8 B = 2.56 MB,
+        # over the bound; each block of rows is promoted on its own.
+        x = rng.normal(size=(20000, 16)).astype(np.float32)
+        c = rng.normal(size=(1024, 16)).astype(np.float32)
+        assert (self._nearest_peak(x, c)
+                < 2 * 20000 * 8 + 4 * core._BLOCK_ELEMS * 8)
 
 
 class TestTopK:
@@ -304,6 +317,34 @@ class TestTopK:
         assert core.top_k(d, keys, 3).tolist() == [1, 2, 0]
         assert core.top_k(d, keys, 10).tolist() == [1, 2, 0]
 
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(n=st.integers(1, 60), rows=st.sampled_from([0, 1, 3]),
+           k_frac=st.floats(0.0, 1.0),
+           pool=st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, -3.0,
+                                          np.inf, -np.inf, np.nan]),
+                         min_size=1, max_size=5),
+           boundary_ties=st.integers(0, 4), key_range=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=5, rows=0, k_frac=0.5, pool=[np.nan], boundary_ties=0,
+             key_range=1, seed=0)
+    @example(n=6, rows=0, k_frac=0.5, pool=[1.0, np.nan], boundary_ties=3,
+             key_range=2, seed=3)
+    def test_equals_a_full_lexsort(self, n, rows, k_frac, pool, boundary_ties,
+                                   key_range, seed):
+        # Values from a small pool (ties, +-0, +-inf, NaN) and keys from a
+        # small range (duplicate keys); then copies of the k-th smallest value
+        # planted around the cut. rows=0 is a 1-D input.
+        rng = core.make_rng(seed)
+        shape = (rows, n) if rows else (n,)
+        d = rng.choice(np.array(pool), size=shape)
+        keys = rng.integers(0, key_range, size=n).astype(np.uint64)
+        k = 1 + int(k_frac * n)     # 1 .. n + 1
+        kth = np.sort(d, axis=-1)[..., min(k, n) - 1]
+        for j in rng.integers(0, n, size=boundary_ties):
+            d[..., j] = kth
+        want = np.lexsort((np.broadcast_to(keys, d.shape), d))[..., :k]
+        assert np.array_equal(core.top_k(d, keys, k), want)
+
 
 def _callers(func_name):
     """src/sci modules that call <anything>.<func_name>: np.argmin as well as
@@ -317,7 +358,8 @@ def _callers(func_name):
 
 
 @pytest.mark.parametrize("func_name",
-                         ["argmin", "argsort", "argpartition", "lexsort"])
+                         ["argmin", "argsort", "argpartition", "lexsort",
+                          "partition"])
 def test_selection_rules_live_only_in_core(func_name):
     assert _callers(func_name) <= {"core.py"}
 

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sci import data_io, encoder
 from sci.errors import CorruptFile, DuplicateQrel, ParseError
@@ -304,6 +306,94 @@ class TestQrels:
         with pytest.raises(ParseError) as exc:
             data_io.read_qrels(path)
         assert exc.value.line == 2
+
+
+def _read_qrels_line_by_line(path):
+    """Reference reader: every line parsed on its own, in file order."""
+    qrels = {}
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if "\ufffd" in line:
+                raise ParseError(lineno, "not valid UTF-8")
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                continue
+            if len(fields) != 3:
+                raise ParseError(lineno, "expected 3 tab-separated fields")
+            try:
+                qid, item, grade = map(int, fields)
+            except ValueError:
+                raise ParseError(lineno, "non-integer field") from None
+            rel = qrels.setdefault(qid, {})
+            if item in rel:
+                raise DuplicateQrel(lineno)
+            rel[item] = grade
+    return qrels
+
+
+def _qrels_outcome(read, path):
+    """Every (query, [(item, grade)]) in order, or the error and its line."""
+    try:
+        return [(q, list(rel.items())) for q, rel in read(path).items()]
+    except (ParseError, DuplicateQrel) as exc:
+        return type(exc), exc.line
+
+
+# Well-formed lines, whose pairs repeat now and then, and odd lines: field
+# counts, empty fields, what int() accepts beyond plain digits, what it
+# refuses, and what int64 cannot hold.
+_QREL_LINE = st.tuples(st.integers(0, 3), st.integers(0, 400),
+                       st.integers(0, 3)).map(lambda t: "\t".join(map(str, t)))
+_QREL_ODD_LINE = st.one_of(
+    st.lists(st.sampled_from(["1", "2", "3", ""]), min_size=0, max_size=6),
+    st.lists(st.sampled_from(
+        ["5", "300", "007", "-2", "+3", " 4", "1_0", "9" * 18, "9" * 19,
+         "9" * 25, "x", "", "\u0663", "\ufffd", "1.0"]),
+        min_size=3, max_size=3)).map("\t".join)
+
+
+class TestQrelsBlocks:
+    @settings(derandomize=True, database=None, max_examples=500,
+              deadline=None)
+    @given(lines=st.lists(_QREL_LINE, max_size=40),
+           odd=st.lists(st.tuples(st.integers(0, 40), _QREL_ODD_LINE),
+                        max_size=2),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           last_newline=st.booleans(),
+           bad_byte=st.none() | st.integers(0, 10**6),
+           block=st.sampled_from([1, 7, 64, 1 << 17]))
+    def test_equals_a_line_by_line_reader(self, tmp_path_factory, lines, odd,
+                                          newline, last_newline, bad_byte,
+                                          block):
+        # Small blocks put block edges inside every kind of line, so an
+        # error is found in a block after others that were read whole.
+        for at, line in odd:
+            lines.insert(at, line)
+        raw = bytearray((newline.join(lines)
+                         + newline * last_newline).encode())
+        if bad_byte is not None and raw:
+            raw[bad_byte % len(raw)] = 0xFF
+        path = tmp_path_factory.mktemp("qrels") / "qrels.tsv"
+        path.write_bytes(bytes(raw))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "_QRELS_BLOCK", block)
+            got = _qrels_outcome(data_io.read_qrels, path)
+        assert got == _qrels_outcome(_read_qrels_line_by_line, path)
+
+    def test_large_file_in_many_blocks(self, tmp_path, monkeypatch):
+        # A duplicate far down the file is reported at its own line.
+        monkeypatch.setattr(data_io, "_QRELS_BLOCK", 1000)
+        qrels = {q: {i: 1 + (q + i) % 3 for i in range(0, 600, q + 1)}
+                 for q in range(40)}
+        path = tmp_path / "qrels.tsv"
+        data_io.write_qrels(path, qrels)
+        assert _qrels_outcome(data_io.read_qrels, path) == \
+            _qrels_outcome(_read_qrels_line_by_line, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[2000:2001]))
+        with pytest.raises(DuplicateQrel) as exc:
+            data_io.read_qrels(path)
+        assert exc.value.line == len(lines) + 1
 
 
 class TestRuns:

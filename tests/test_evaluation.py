@@ -170,6 +170,26 @@ class TestSkippedQueries:
         assert report.n_skipped == 2
 
 
+class TestEvaluate:
+    def test_equals_the_metric_functions_bitwise(self, rng):
+        # Graded and zero-grade judgements, queries with no relevant item or
+        # no qrels at all, and runs shorter than the cutoffs.
+        run = {q: rng.permutation(30)[:int(rng.integers(1, 12))].tolist()
+               for q in range(40)}
+        qrels = {q: {int(i): int(rng.integers(0, 3))
+                     for i in rng.permutation(30)[:int(rng.integers(0, 6))]}
+                 for q in range(0, 40, 2)}
+        report = evaluation.evaluate(run, qrels, [1, 3, 10, 20])
+        functions = {"precision": evaluation.precision_at_k,
+                     "recall": evaluation.recall_at_k,
+                     "mrr": evaluation.mrr_at_k, "ndcg": evaluation.ndcg_at_k}
+        want = {f"{metric}@{k}": functions[metric](run, qrels, k)
+                for k in (1, 3, 10, 20) for metric in evaluation.METRICS}
+        assert list(report.values.items()) == list(want.items())
+        assert report.n_skipped == evaluation.skipped_queries(run, qrels)
+        assert 0 < report.n_skipped < report.n_queries == 40
+
+
 class TestNprobeSweep:
     def _setup(self, rng, seed=0):
         m = linear_model(4, 4, seed=seed)

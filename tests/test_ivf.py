@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sci import clustering, encoder, evaluation, ivf
+from sci import clustering, encoder, evaluation, ivf, quantization
 from sci import core
 from sci.core import make_rng
 from sci.errors import (CorruptFile, CorruptIndex, DimensionMismatch,
@@ -244,6 +244,52 @@ class TestSearchBatch:
                         if k == 200 and nprobe >= 8:
                             assert len(batch[0].ranked) == \
                                 sum(len(ids) for ids in index.list_ids)
+
+    @staticmethod
+    def _reference_scan(index, m, Q, nprobe, k):
+        """The scan written out: a full sort of the coarse distances, one
+        `adc_distances_batch` per probed list, a full lexsort of all the
+        candidates."""
+        centers = index.centroids.centers
+        e_q = encoder.encode_batch(m, encoder.QUERY, Q)
+        out = []
+        for e, coarse in zip(e_q, core.pairwise_sq_dists(e_q, centers)):
+            probe = np.lexsort((np.arange(index.nlist), coarse))[:nprobe]
+            ids = np.concatenate([index.list_ids[j] for j in probe])
+            if index.variant == ivf.FLAT:
+                dists = core.pairwise_sq_dists(
+                    np.concatenate([index.list_payload[j] for j in probe]),
+                    e[None])[:, 0]
+            else:
+                tables = quantization.adc_table(index.codebook, (
+                    e.astype(np.float64) - centers[probe].astype(np.float64)
+                ).astype(np.float32))
+                dists = np.concatenate([
+                    quantization.adc_distances_batch(t, index.list_payload[j])
+                    for t, j in zip(tables, probe)])
+            order = np.lexsort((ids, dists))[:k]
+            out.append(([(int(ids[i]), float(dists[i])) for i in order],
+                        probe.tolist()))
+        return out
+
+    def test_equals_a_per_list_scan_and_full_sort(self, rng):
+        # Every item appears twice under two ids, so equal distances are
+        # decided by id; nprobe=1 with k=300 leaves fewer candidates than k.
+        m = linear_model(8, 8, seed=3)
+        feats = rng.normal(size=(150, 8)).astype(np.float32)
+        feats = np.concatenate([feats, feats])
+        ids = rng.permutation(1000)[:300].astype(np.uint64)
+        Q = np.concatenate([rng.normal(size=(12, 8)).astype(np.float32),
+                            feats[:3]])
+        for variant, ksub in ((ivf.FLAT, 16), (ivf.PQ, 16), (ivf.PQ, 256)):
+            index = ivf.build(m, ids, feats, ivf.CI, variant, 6, make_rng(1),
+                              pq_m=4, pq_ksub=ksub)
+            for nprobe, k in ((1, 300), (2, 5), (3, 1), (6, 400), (9, 17)):
+                got = ivf.search_batch(index, m, Q, nprobe, k)
+                want = self._reference_scan(index, m, Q, nprobe, k)
+                assert [(r.ranked, r.probed_clusters) for r in got] == want
+                if nprobe == 1:
+                    assert all(len(r.ranked) < k for r in got)
 
     def test_zero_rows_and_bad_shapes(self, rng):
         m, flat, _ = self._indexes(rng)
