@@ -30,12 +30,12 @@ sweep = evaluation.nprobe_sweep(std, ci, model, data.query_ids,
 print(f"\nRecall@10 by probes ({len(data.item_ids)} items, nlist = 16):")
 print(f"{'nprobe':>8s}{'standard':>12s}{'consistent':>12s}")
 for p in nprobes:
-    r_std = sweep.value("standard", p, "recall", 10)
-    r_ci = sweep.value("ci", p, "recall", 10)
+    r_std = sweep.values[("standard", p, "recall", 10)]
+    r_ci = sweep.values[("ci", p, "recall", 10)]
     print(f"{p:>8d}{r_std:>12.4f}{r_ci:>12.4f}")
 
-r_std = sweep.value("standard", 1, "recall", 10)
-r_ci = sweep.value("ci", 1, "recall", 10)
+r_std = sweep.values[("standard", 1, "recall", 10)]
+r_ci = sweep.values[("ci", 1, "recall", 10)]
 print(f"\nat nprobe = 1 the consistent build recovers "
       f"{100 * (r_ci - r_std) / r_std:.0f}% more relevant items.")
 

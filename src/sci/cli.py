@@ -141,6 +141,14 @@ def _emit(text, path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_csv(header, rows, path) -> None:
+    """A CSV document: the header, then one line per row whose last field is
+    a value written with six significant digits."""
+    lines = [header] + [",".join(map(str, keys)) + f",{value:.6g}"
+                        for *keys, value in rows]
+    _emit("\n".join(lines) + "\n", path)
+
+
 def _cmd_gen_data(args) -> int:
     spec = data_io.SyntheticSpec(args.items, args.queries, args.dim,
                                  args.clusters, args.misalign, args.noise,
@@ -175,6 +183,8 @@ def _load_triplet_batches(data_dir):
 
 def _cmd_train(args) -> int:
     batches = _load_triplet_batches(args.data)
+    if not batches:
+        raise ValueError(f"no triplets in {args.data}")
     input_dim = batches[0].queries.shape[1]
     out_dim = args.out_dim or input_dim
     model = encoder.init(args.arch, input_dim, out_dim, make_rng(args.seed),
@@ -262,11 +272,9 @@ def _cmd_eval(args) -> int:
     run = data_io.read_run(args.run)
     qrels = data_io.read_qrels(args.qrels)
     report = evaluation.evaluate(run, qrels, args.k)
-    lines = ["metric,cutoff,value"]
-    for key in sorted(report.values):
-        metric, cutoff = key.split("@")
-        lines.append(f"{metric},{cutoff},{report.values[key]:.6g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_csv("metric,cutoff,value",
+              [(*key.split("@"), report.values[key])
+               for key in sorted(report.values)], args.out)
     print(f"{report.n_queries} queries, {report.n_skipped} skipped "
           f"(no relevant items)", file=sys.stderr)
     return 0
@@ -285,7 +293,9 @@ def _cmd_sweep(args) -> int:
                          make_rng(args.seed), **kwargs)
     result = evaluation.nprobe_sweep(index_std, index_ci, model, query_ids,
                                      queries, qrels, args.nprobe, args.k)
-    _emit(evaluation.sweep_csv(result), args.out)
+    _emit_csv("method,nprobe,metric,cutoff,value",
+              [(*key, value) for key, value in result.values.items()],
+              args.out)
     for metric, cutoff, np_std, np_ci in result.matches:
         reached = f"nprobe={np_ci}" if np_ci is not None else "not reached"
         print(f"{metric}@{cutoff}: ci matches standard@nprobe={np_std} "

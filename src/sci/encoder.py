@@ -95,14 +95,6 @@ def init(arch: str, input_dim: int, output_dim: int, rng,
                           normalize_output, params_q, params_i)
 
 
-def tower_params(model: DualTowerModel, tower: str) -> dict:
-    if tower == QUERY:
-        return model.params_q
-    if tower == ITEM:
-        return model.params_i
-    raise ValueError(f"unknown tower {tower!r}")
-
-
 def forward(params: dict, arch: str, normalize: bool, x: np.ndarray,
             with_cache: bool = False):
     """Batched tower forward pass in float64. x is (n, input_dim).
@@ -128,17 +120,17 @@ def forward(params: dict, arch: str, normalize: bool, x: np.ndarray,
 
 
 def encode_batch(model: DualTowerModel, tower: str, xs) -> np.ndarray:
-    """Encode a batch of input vectors, or one 1-D vector as a batch of one;
-    returns an (n, output_dim) float32 array. Rejects NaN/Inf inputs."""
+    """Encode a batch of input vectors (n, input_dim); returns an
+    (n, output_dim) float32 array. Rejects NaN/Inf inputs."""
     xs = as_f32(xs, "input")
-    if xs.ndim == 1:
-        xs = xs.reshape(0, model.input_dim) if xs.size == 0 else xs.reshape(1, -1)
+    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
+        raise DimensionMismatch(f"inputs {xs.shape} are not rows of "
+                                f"model input_dim {model.input_dim}")
     if xs.shape[0] == 0:
         return np.zeros((0, model.output_dim), dtype=np.float32)
-    if xs.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"input dim {xs.shape[1]} != model input_dim {model.input_dim}")
-    params = tower_params(model, tower)
+    if tower not in (QUERY, ITEM):
+        raise ValueError(f"unknown tower {tower!r}")
+    params = model.params_q if tower == QUERY else model.params_i
     out = forward(params, model.arch, model.normalize_output, xs)
     model.encode_calls += xs.shape[0]
     return out.astype(np.float32)

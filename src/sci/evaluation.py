@@ -56,15 +56,6 @@ def _relevant_sets(run, qrels):
     return rels
 
 
-def _mean_over_queries(run, rels, k, per_query):
-    """Mean of per_query(top-k ranked ids, relevant set, k) over the queries
-    of `rels`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    values = [per_query(run[qid][:k], rel, k) for qid, rel in rels.items()]
-    return float(np.mean(values)) if values else 0.0
-
-
 def _precision(top, rel, k):
     return len(set(top) & rel) / k
 
@@ -93,28 +84,6 @@ _PER_QUERY = {"precision": _precision, "recall": _recall,
               "mrr": _reciprocal_rank, "ndcg": _ndcg}
 
 
-def recall_at_k(run, qrels, k: int) -> float:
-    return _mean_over_queries(run, _relevant_sets(run, qrels), k, _recall)
-
-
-def precision_at_k(run, qrels, k: int) -> float:
-    return _mean_over_queries(run, _relevant_sets(run, qrels), k, _precision)
-
-
-def mrr_at_k(run, qrels, k: int) -> float:
-    return _mean_over_queries(run, _relevant_sets(run, qrels), k,
-                              _reciprocal_rank)
-
-
-def ndcg_at_k(run, qrels, k: int) -> float:
-    """Binary-gain NDCG: every relevant item gains 1, whatever its grade."""
-    return _mean_over_queries(run, _relevant_sets(run, qrels), k, _ndcg)
-
-
-def skipped_queries(run, qrels) -> int:
-    return len(run) - len(_relevant_sets(run, qrels))
-
-
 @dataclass
 class EvalReport:
     values: dict       # "metric@k" -> value in [0, 1]
@@ -123,28 +92,29 @@ class EvalReport:
 
 
 def evaluate(run, qrels, k_list) -> EvalReport:
-    """Every metric of METRICS at every cutoff of k_list, the relevant sets
-    built once."""
+    """Every metric of METRICS at every cutoff of k_list: the mean over the
+    queries of run that have a relevant item, the relevant sets built once.
+    NDCG is binary-gain: every relevant item gains 1, whatever its grade."""
     rels = _relevant_sets(run, qrels)
-    values = {f"{metric}@{k}": _mean_over_queries(run, rels, k,
-                                                  _PER_QUERY[metric])
-              for k in k_list for metric in METRICS}
+    values = {}
+    for k in k_list:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        for metric in METRICS:
+            per_query = [_PER_QUERY[metric](run[qid][:k], rel, k)
+                         for qid, rel in rels.items()]
+            values[f"{metric}@{k}"] = (float(np.mean(per_query)) if per_query
+                                       else 0.0)
     return EvalReport(values, len(run), len(run) - len(rels))
 
 
 @dataclass
 class SweepResult:
-    # rows: (method, nprobe, metric, cutoff, value)
-    rows: list
-    # matches: (metric, cutoff, standard_nprobe, smallest ci_nprobe whose
-    # value >= the standard value, or None)
+    # (method, nprobe, metric, cutoff) -> value, in CSV row order
+    values: dict
+    # (metric, cutoff, standard_nprobe, smallest ci_nprobe whose value >=
+    # the standard value, or None)
     matches: list
-
-    def value(self, method, nprobe, metric, cutoff):
-        for m, np_, met, cut, v in self.rows:
-            if (m, np_, met, cut) == (method, nprobe, metric, cutoff):
-                return v
-        raise KeyError((method, nprobe, metric, cutoff))
 
 
 def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
@@ -163,8 +133,7 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
         raise DimensionMismatch(f"query_ids {query_ids.shape} do not line up "
                                 f"with the rows of Q {Q.shape}")
     k_max = max(k_list)
-    rows = []
-    grid = {}
+    values = {}
     for method, index in (("standard", index_std), ("ci", index_ci)):
         for nprobe in nprobe_list:
             results = ivf.search_batch(index, model, Q, nprobe, k_max)
@@ -173,24 +142,12 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
             report = evaluate(run, qrels, k_list)
             for k in k_list:
                 for metric in METRICS:
-                    v = report.values[f"{metric}@{k}"]
-                    rows.append((method, nprobe, metric, k, v))
-                    grid[(method, nprobe, metric, k)] = v
+                    values[(method, nprobe, metric, k)] = \
+                        report.values[f"{metric}@{k}"]
 
-    matches = []
-    for metric in METRICS:
-        for k in k_list:
-            for np_std in nprobe_list:
-                target = grid[("standard", np_std, metric, k)]
-                found = next((np_ci for np_ci in nprobe_list
-                              if grid[("ci", np_ci, metric, k)] >= target),
-                             None)
-                matches.append((metric, k, np_std, found))
-    return SweepResult(rows, matches)
-
-
-def sweep_csv(result: SweepResult) -> str:
-    lines = ["method,nprobe,metric,cutoff,value"]
-    for method, nprobe, metric, cutoff, value in result.rows:
-        lines.append(f"{method},{nprobe},{metric},{cutoff},{value:.6g}")
-    return "\n".join(lines) + "\n"
+    matches = [(metric, k, np_std,
+                next((np_ci for np_ci in nprobe_list
+                      if values[("ci", np_ci, metric, k)]
+                      >= values[("standard", np_std, metric, k)]), None))
+               for metric in METRICS for k in k_list for np_std in nprobe_list]
+    return SweepResult(values, matches)

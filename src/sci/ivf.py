@@ -123,6 +123,9 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
     Q = np.asarray(Q)
     if Q.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array of queries, got {Q.shape}")
+    if model.output_dim != index.dim:
+        raise DimensionMismatch(f"model output_dim {model.output_dim} != "
+                                f"index dim {index.dim}")
     n_probe = min(nprobe, index.nlist)
     centers = index.centroids.centers
     cb = index.codebook

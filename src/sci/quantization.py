@@ -47,8 +47,9 @@ def pq_train(residuals, m: int, ksub: int, rng) -> PqCodebook:
     if x.ndim != 2:
         raise DimensionMismatch("expected a 2-D array of residuals")
     dim = x.shape[1]
-    if dim % m != 0:
-        raise BadSubspaceSplit(f"dim {dim} not divisible by m={m}")
+    if m < 1 or dim % m != 0:
+        raise BadSubspaceSplit(f"dim {dim} cannot be split into m={m} "
+                               f"equal subspaces")
     if ksub > 256:
         raise ValueError("ksub must fit in one byte (<= 256)")
     sub_dim = dim // m
@@ -101,8 +102,10 @@ def adc_table(cb: PqCodebook, residuals) -> np.ndarray:
 def adc_distances_batch(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Per-row sum of lookups in one residual's (m, ksub) table: the squared
     distance between that residual and each code's reconstruction (up to
-    accumulation order)."""
+    accumulation order). Codes must be below ksub, as `ivf.load` checks."""
     m = table.shape[0]
     if codes.ndim != 2 or codes.shape[1] != m:
         raise DimensionMismatch(f"codes shape {codes.shape} vs table m={m}")
-    return table[np.arange(m), codes].sum(axis=1)
+    # one gather from the flat table, where row s starts at s * width
+    flat_index = codes + np.arange(m) * table.shape[1]
+    return np.take(table.ravel(), flat_index).sum(axis=1)

@@ -227,15 +227,11 @@ def test_criterion_04_training_dynamics_witnesses():
         data, m_sym, m_plain = _train_pair(seed, epochs=60, lr=0.05, lam=0.3)
         pairs = _witness_pairs(data)
         pool = np.concatenate([data.query_features, data.item_features[:200]])
-        a_sym = diagnostics.alignment_error(m_sym, *pairs).alignment_error
-        a_plain = diagnostics.alignment_error(m_plain, *pairs).alignment_error
-        c_sym = diagnostics.anisotropy(m_sym, pool).cov_fro_gap
-        c_plain = diagnostics.anisotropy(m_plain, pool).cov_fro_gap
-        s_sym = diagnostics.pair_similarity_stats(m_sym, *pairs).mean
-        s_plain = diagnostics.pair_similarity_stats(m_plain, *pairs).mean
-        align_wins += a_sym < a_plain
-        cov_wins += c_sym < c_plain
-        cos_wins += s_sym > s_plain
+        sym = diagnostics.diagnose(m_sym, *pairs, pool)
+        plain = diagnostics.diagnose(m_plain, *pairs, pool)
+        align_wins += sym["alignment_error"] < plain["alignment_error"]
+        cov_wins += sym["cov_fro_gap"] < plain["cov_fro_gap"]
+        cos_wins += sym["pair_stats"]["mean"] > plain["pair_stats"]["mean"]
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     assert align_wins >= 8, f"alignment_error lower in only {align_wins}/10"
@@ -254,7 +250,7 @@ def test_criterion_04_training_dynamics_witnesses():
 def _search_encoded_queries(m, data):
     """Query embeddings as `ivf.search` computes them, one row at a time
     (BLAS may round a one-row product differently from a batch)."""
-    return np.concatenate([encoder.encode_batch(m, encoder.QUERY, f)
+    return np.concatenate([encoder.encode_batch(m, encoder.QUERY, f[None])
                            for f in data.query_features])
 
 
@@ -345,8 +341,8 @@ def test_criterion_07_consistency_witness_and_monotonicity():
         # Witness: semantic (cluster-identity) relevance, nprobe = 1.
         sweep = evaluation.nprobe_sweep(std, ci, m, *queries, data.qrels,
                                         [1], [10])
-        r_ci = sweep.value("ci", 1, "recall", 10)
-        r_std = sweep.value("standard", 1, "recall", 10)
+        r_ci = sweep.values[("ci", 1, "recall", 10)]
+        r_std = sweep.values[("standard", 1, "recall", 10)]
         ci_wins += r_ci >= r_std
         if r_std > 0:
             gains.append((r_ci - r_std) / r_std)
@@ -361,7 +357,7 @@ def test_criterion_07_consistency_witness_and_monotonicity():
             for method in ("standard", "ci"):
                 for metric in evaluation.METRICS:
                     for k in (1, 10):
-                        vals = [sweep.value(method, p, metric, k)
+                        vals = [sweep.values[(method, p, metric, k)]
                                 for p in nprobes]
                         for a, b in zip(vals, vals[1:]):
                             assert b >= a - 1e-12, \
@@ -431,19 +427,24 @@ def test_criterion_08_cli_determinism(tmp_path):
 
 def test_criterion_09_metric_examples():
     import math
+
+    def value(run, qrels, metric, k):
+        return evaluation.evaluate(run, qrels, [k]).values[f"{metric}@{k}"]
+
     run = {0: [9, 1, 3]}
     qrels = {0: {1: 1}}
-    assert evaluation.ndcg_at_k(run, qrels, 3) == \
+    assert value(run, qrels, "ndcg", 3) == \
         pytest.approx(1.0 / math.log2(3.0), abs=1e-9)
-    assert evaluation.recall_at_k({0: [1], 1: [5, 6]},
-                                  {0: {1: 1, 2: 1}, 1: {5: 1, 6: 1}}, 2) == 0.75
-    assert evaluation.precision_at_k({0: list(range(10))}, {0: {4: 1}},
-                                     10) == pytest.approx(0.1)
-    assert evaluation.mrr_at_k({0: [9, 8, 5]}, {0: {5: 1}}, 10) == \
+    assert value({0: [1], 1: [5, 6]}, {0: {1: 1, 2: 1}, 1: {5: 1, 6: 1}},
+                 "recall", 2) == 0.75
+    assert value({0: list(range(10))}, {0: {4: 1}}, "precision", 10) == \
+        pytest.approx(0.1)
+    assert value({0: [9, 8, 5]}, {0: {5: 1}}, "mrr", 10) == \
         pytest.approx(1.0 / 3.0)
-    assert evaluation.mrr_at_k({0: list(range(11))}, {0: {10: 1}}, 10) == 0.0
+    assert value({0: list(range(11))}, {0: {10: 1}}, "mrr", 10) == 0.0
     # skipped queries do not contribute zeros
-    assert evaluation.recall_at_k({0: [1], 1: [2]}, {0: {1: 1}}, 1) == 1.0
+    report = evaluation.evaluate({0: [1], 1: [2]}, {0: {1: 1}}, [1])
+    assert report.values["recall@1"] == 1.0 and report.n_skipped == 1
     _report("criterion 9", "metric worked examples exact, including NDCG "
             "rank-2 = 1/log2(3) +/- 1e-9")
 

@@ -203,6 +203,39 @@ class TestErrors:
         assert "sci: error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["build-index", "sweep"])
+    def test_pq_m_below_one_is_exit_1(self, pipeline, tmp_path, capsys,
+                                      command, m):
+        data = pipeline["data"]
+        argv = [command, "--model", pipeline["model"], "--items",
+                os.path.join(data, "items.sciv"), "--variant", "pq",
+                "--nlist", "4", "--pq-m", m, "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--queries", os.path.join(data, "queries.sciv"),
+                     "--qrels", os.path.join(data, "qrels.tsv")]
+        capsys.readouterr()
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sci: error:") and err.count("\n") == 1
+        assert f"m={m}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_without_triplets_is_exit_1(self, pipeline, tmp_path,
+                                               capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        for name in ("q", "pos", "neg"):
+            path = data / f"triplets_{name}.sciv"
+            rows, _ = data_io.read_vectors(path)
+            data_io.write_vectors(path, rows[:0])
+        capsys.readouterr()
+        assert cli.run(["train", "--data", str(data), "--epochs", "1",
+                        "--out", str(tmp_path / "m.scim")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"sci: error: no triplets in {data}\n"
+        assert not (tmp_path / "m.scim").exists()
+
     def test_corrupt_index_is_exit_1(self, pipeline, tmp_path):
         bad = tmp_path / "bad.scix"
         bad.write_bytes(b"JUNKJUNK")

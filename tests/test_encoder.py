@@ -51,18 +51,18 @@ class TestInit:
 
 
 class TestEncode:
-    """One input vector is encoded as a 1-D row: a batch of one."""
+    """One input vector is encoded as a batch of one row."""
 
     def test_identity_map_unit_input(self):
         m = linear_model(2, 2)
         m.params_q["W"] = np.eye(2, dtype=np.float32)
-        out = encoder.encode_batch(m, encoder.QUERY, [0.6, 0.8])
+        out = encoder.encode_batch(m, encoder.QUERY, [[0.6, 0.8]])
         assert np.allclose(out, [[0.6, 0.8]], atol=1e-6)
 
     def test_normalization_absorbs_scale(self):
         m = linear_model(2, 2)
         m.params_q["W"] = 2.0 * np.eye(2, dtype=np.float32)
-        out = encoder.encode_batch(m, encoder.QUERY, [1.0, 0.0])
+        out = encoder.encode_batch(m, encoder.QUERY, [[1.0, 0.0]])
         assert np.allclose(out, [[1.0, 0.0]], atol=1e-6)
 
     def test_mlp_matches_straight_line_oracle(self):
@@ -71,23 +71,23 @@ class TestEncode:
         p = m.params_i
         h = np.tanh(p["W1"].astype(np.float64) @ x + p["b1"])
         expected = p["W2"].astype(np.float64) @ h + p["b2"]
-        out = encoder.encode_batch(m, encoder.ITEM, x)[0]
+        out = encoder.encode_batch(m, encoder.ITEM, x[None])[0]
         assert np.allclose(out, expected, atol=1e-5)
 
     def test_unit_output_when_normalized(self, rng):
         m = mlp_model(6, 4, hidden=8, seed=2)
-        out = encoder.encode_batch(m, encoder.QUERY, rng.normal(size=6))[0]
+        out = encoder.encode_batch(m, encoder.QUERY, rng.normal(size=(1, 6)))[0]
         assert np.linalg.norm(out.astype(np.float64)) == pytest.approx(1.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         m = linear_model(4, 4)
         with pytest.raises(DimensionMismatch):
-            encoder.encode_batch(m, encoder.QUERY, [1.0, 2.0])
+            encoder.encode_batch(m, encoder.QUERY, [[1.0, 2.0]])
 
     def test_either_tower_accepts_either_input(self, rng):
         # The swap mechanism needs both towers to accept the same input space.
         m = linear_model(4, 3)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         q = encoder.encode_batch(m, encoder.QUERY, x)
         i = encoder.encode_batch(m, encoder.ITEM, x)
         assert q.shape == i.shape == (1, 3)
@@ -103,14 +103,21 @@ class TestEncodeBatch:
         m = linear_model(4, 3)
         x = rng.normal(size=4).astype(np.float32)
         assert np.array_equal(encoder.encode_batch(m, encoder.ITEM, [x]),
-                              encoder.encode_batch(m, encoder.ITEM, x))
+                              encoder.encode_batch(m, encoder.ITEM, x[None]))
+
+    @pytest.mark.parametrize("shape", [(4,), (0,), (1, 1, 4)])
+    def test_only_two_dimensional_batches(self, shape):
+        m = linear_model(4, 3)
+        with pytest.raises(DimensionMismatch, match="input_dim 4"):
+            encoder.encode_batch(m, encoder.QUERY, np.zeros(shape))
+        assert m.encode_calls == 0
 
     def test_batch_equals_loop(self, rng):
         m = mlp_model(5, 4, hidden=6, seed=4)
         xs = rng.normal(size=(100, 5)).astype(np.float32)
         batched = encoder.encode_batch(m, encoder.QUERY, xs)
-        looped = np.concatenate([encoder.encode_batch(m, encoder.QUERY, x)
-                                 for x in xs])
+        looped = np.concatenate([encoder.encode_batch(m, encoder.QUERY, row)
+                                 for row in xs[:, None]])
         assert np.array_equal(batched, looped)
 
     def test_encode_calls_counter(self, rng):
@@ -118,7 +125,7 @@ class TestEncodeBatch:
         assert m.encode_calls == 0
         encoder.encode_batch(m, encoder.QUERY, rng.normal(size=(10, 4)))
         assert m.encode_calls == 10
-        encoder.encode_batch(m, encoder.ITEM, rng.normal(size=4))
+        encoder.encode_batch(m, encoder.ITEM, rng.normal(size=(1, 4)))
         assert m.encode_calls == 11
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -65,73 +65,78 @@ class TestBruteForceSearch:
                 evaluation.brute_force_search(ids, x, queries, 3)
 
 
+def _value(run, qrels, metric, k):
+    """One metric at one cutoff, read from `evaluate`."""
+    return evaluation.evaluate(run, qrels, [k]).values[f"{metric}@{k}"]
+
+
 class TestRecall:
     def test_all_found(self):
         run = {0: [1, 2, 3]}
         qrels = {0: {1: 1, 2: 1}}
-        assert evaluation.recall_at_k(run, qrels, 3) == 1.0
+        assert _value(run, qrels, "recall", 3) == 1.0
 
     def test_found_past_cutoff(self):
         run = {0: list(range(11))}
         qrels = {0: {10: 1}}
-        assert evaluation.recall_at_k(run, qrels, 10) == 0.0
+        assert _value(run, qrels, "recall", 10) == 0.0
 
     def test_two_query_average(self):
         run = {0: [1], 1: [5, 6]}
         qrels = {0: {1: 1, 2: 1}, 1: {5: 1, 6: 1}}
-        assert evaluation.recall_at_k(run, qrels, 2) == 0.75
+        assert _value(run, qrels, "recall", 2) == 0.75
 
 
 class TestPrecision:
     def test_one_of_ten(self):
         run = {0: list(range(10))}
         qrels = {0: {4: 1}}
-        assert evaluation.precision_at_k(run, qrels, 10) == pytest.approx(0.1)
+        assert _value(run, qrels, "precision", 10) == pytest.approx(0.1)
 
     def test_none_found(self):
         run = {0: [1, 2, 3]}
         qrels = {0: {9: 1}}
-        assert evaluation.precision_at_k(run, qrels, 3) == 0.0
+        assert _value(run, qrels, "precision", 3) == 0.0
 
     def test_perfect_at_one(self):
         run = {0: [7]}
         qrels = {0: {7: 1}}
-        assert evaluation.precision_at_k(run, qrels, 1) == 1.0
+        assert _value(run, qrels, "precision", 1) == 1.0
 
     def test_equals_mrr_at_one(self):
         run = {0: [7], 1: [2], 2: [4]}
         qrels = {0: {7: 1}, 1: {3: 1}, 2: {4: 1}}
-        assert evaluation.precision_at_k(run, qrels, 1) == \
-            evaluation.mrr_at_k(run, qrels, 1)
+        values = evaluation.evaluate(run, qrels, [1]).values
+        assert values["precision@1"] == values["mrr@1"]
 
 
 class TestMrr:
     def test_first_relevant_at_rank_3(self):
         run = {0: [9, 8, 5, 1]}
         qrels = {0: {5: 1}}
-        assert evaluation.mrr_at_k(run, qrels, 10) == pytest.approx(1.0 / 3.0)
+        assert _value(run, qrels, "mrr", 10) == pytest.approx(1.0 / 3.0)
 
     def test_relevant_past_cutoff(self):
         run = {0: list(range(11))}
         qrels = {0: {10: 1}}
-        assert evaluation.mrr_at_k(run, qrels, 10) == 0.0
+        assert _value(run, qrels, "mrr", 10) == 0.0
 
     def test_two_query_average(self):
         run = {0: [1], 1: [9, 2]}
         qrels = {0: {1: 1}, 1: {2: 1}}
-        assert evaluation.mrr_at_k(run, qrels, 10) == pytest.approx(0.75)
+        assert _value(run, qrels, "mrr", 10) == pytest.approx(0.75)
 
 
 class TestNdcg:
     def test_single_relevant_rank_1(self):
         run = {0: [1, 2, 3]}
         qrels = {0: {1: 1}}
-        assert evaluation.ndcg_at_k(run, qrels, 3) == pytest.approx(1.0, abs=1e-9)
+        assert _value(run, qrels, "ndcg", 3) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_relevant_rank_2(self):
         run = {0: [9, 1, 3]}
         qrels = {0: {1: 1}}
-        assert evaluation.ndcg_at_k(run, qrels, 3) == \
+        assert _value(run, qrels, "ndcg", 3) == \
             pytest.approx(1.0 / math.log2(3.0), abs=1e-9)
 
     def test_two_relevant_ranks_2_and_3(self):
@@ -139,28 +144,31 @@ class TestNdcg:
         qrels = {0: {1: 1, 2: 1}}
         dcg = 1.0 / math.log2(3.0) + 1.0 / math.log2(4.0)
         idcg = 1.0 / math.log2(2.0) + 1.0 / math.log2(3.0)
-        assert evaluation.ndcg_at_k(run, qrels, 3) == \
+        assert _value(run, qrels, "ndcg", 3) == \
             pytest.approx(dcg / idcg, abs=1e-9)
 
 
 class TestCutoffValidation:
-    @pytest.mark.parametrize("metric", [evaluation.precision_at_k,
-                                        evaluation.recall_at_k,
-                                        evaluation.mrr_at_k,
-                                        evaluation.ndcg_at_k])
+    @pytest.mark.parametrize("metric", evaluation.METRICS,
+                             ids=lambda metric: f"{metric}_at_k")
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, metric, k):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            metric({0: [1, 2]}, {0: {1: 1}}, k)
+        run, qrels = {0: [1, 2]}, {0: {1: 1}}
+        assert _value(run, qrels, metric, 1) == 1.0
+        # a bad cutoff anywhere in the list, also after a good one
+        for k_list in ([k], [1, k]):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                evaluation.evaluate(run, qrels, k_list)
 
 
 class TestSkippedQueries:
     def test_queries_without_relevance_are_skipped_not_zeroed(self):
         run = {0: [1], 1: [2]}
         qrels = {0: {1: 1}}
-        assert evaluation.skipped_queries(run, qrels) == 1
+        report = evaluation.evaluate(run, qrels, [1])
+        assert report.n_skipped == 1
         # query 1 must not drag the mean down
-        assert evaluation.recall_at_k(run, qrels, 1) == 1.0
+        assert report.values["recall@1"] == 1.0
 
     def test_report_counts(self):
         run = {0: [1], 1: [2], 2: [3]}
@@ -168,6 +176,32 @@ class TestSkippedQueries:
         report = evaluation.evaluate(run, qrels, [1])
         assert report.n_queries == 3
         assert report.n_skipped == 2
+
+
+def _reference_metric(run, qrels, metric, k):
+    """One metric at one cutoff, straight from its definition: the mean over
+    the queries of run with a relevant (grade >= 1) item, binary gains."""
+    per_query = []
+    for qid, ranked in run.items():
+        rel = {i for i, grade in qrels.get(qid, {}).items() if grade >= 1}
+        if not rel:
+            continue
+        top = ranked[:k]
+        hits = [rank for rank, item in enumerate(top, start=1) if item in rel]
+        if metric == "precision":
+            per_query.append(len(hits) / k)
+        elif metric == "recall":
+            per_query.append(len(hits) / len(rel))
+        elif metric == "mrr":
+            per_query.append(1.0 / hits[0] if hits else 0.0)
+        else:
+            dcg = 0.0
+            for rank in hits:
+                dcg += 1.0 / math.log2(rank + 1)
+            idcg = sum(1.0 / math.log2(r + 1)
+                       for r in range(1, min(len(rel), k) + 1))
+            per_query.append(dcg / idcg)
+    return float(np.mean(per_query)) if per_query else 0.0
 
 
 class TestEvaluate:
@@ -180,13 +214,12 @@ class TestEvaluate:
                      for i in rng.permutation(30)[:int(rng.integers(0, 6))]}
                  for q in range(0, 40, 2)}
         report = evaluation.evaluate(run, qrels, [1, 3, 10, 20])
-        functions = {"precision": evaluation.precision_at_k,
-                     "recall": evaluation.recall_at_k,
-                     "mrr": evaluation.mrr_at_k, "ndcg": evaluation.ndcg_at_k}
-        want = {f"{metric}@{k}": functions[metric](run, qrels, k)
+        want = {f"{metric}@{k}": _reference_metric(run, qrels, metric, k)
                 for k in (1, 3, 10, 20) for metric in evaluation.METRICS}
         assert list(report.values.items()) == list(want.items())
-        assert report.n_skipped == evaluation.skipped_queries(run, qrels)
+        skipped = sum(1 for q in run
+                      if not any(g >= 1 for g in qrels.get(q, {}).values()))
+        assert report.n_skipped == skipped
         assert 0 < report.n_skipped < report.n_queries == 40
 
 
@@ -202,7 +235,7 @@ class TestNprobeSweep:
         queries = rng.normal(size=(10, 4)).astype(np.float32)
         # relevance = exact top-3 under the model, so full-probe metrics hit 1
         # queries encoded one row at a time, as ivf.search does
-        e_q = np.concatenate([encoder.encode_batch(m, encoder.QUERY, f)
+        e_q = np.concatenate([encoder.encode_batch(m, encoder.QUERY, f[None])
                               for f in queries])
         top, _ = evaluation.brute_force_search(
             ids, encoder.encode_batch(m, encoder.ITEM, feats), e_q, 3)
@@ -215,7 +248,7 @@ class TestNprobeSweep:
         sweep = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
                                         [4], [3])
         for method in ("standard", "ci"):
-            assert sweep.value(method, 4, "recall", 3) == pytest.approx(1.0)
+            assert sweep.values[(method, 4, "recall", 3)] == pytest.approx(1.0)
 
     def test_aligned_towers_make_modes_equal(self, rng):
         m = linear_model(4, 4, seed=1)
@@ -230,8 +263,8 @@ class TestNprobeSweep:
         sweep = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
                                         [1], [3])
         for metric in evaluation.METRICS:
-            assert sweep.value("ci", 1, metric, 3) == \
-                sweep.value("standard", 1, metric, 3)
+            assert sweep.values[("ci", 1, metric, 3)] == \
+                sweep.values[("standard", 1, metric, 3)]
 
     def test_mismatched_corpora(self, rng):
         m = linear_model(4, 4)
@@ -255,11 +288,10 @@ class TestNprobeSweep:
         m, std, ci, query_ids, queries, qrels = self._setup(rng)
         sweep = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
                                         [1, 4], [3])
-        text = evaluation.sweep_csv(sweep)
-        lines = text.strip().split("\n")
-        assert lines[0] == "method,nprobe,metric,cutoff,value"
-        # 2 methods x 2 nprobe x 4 metrics x 1 cutoff
-        assert len(lines) == 1 + 16
+        # the CSV rows, in order: 2 methods x 2 nprobe x 4 metrics x 1 cutoff
+        assert list(sweep.values) == [
+            (method, nprobe, metric, 3) for method in ("standard", "ci")
+            for nprobe in (1, 4) for metric in evaluation.METRICS]
 
     def test_matches_structure(self, rng):
         m, std, ci, query_ids, queries, qrels = self._setup(rng)

@@ -82,7 +82,7 @@ class TestBuild:
         assert len(index.list_ids[0]) == 30
         q = rng.normal(size=4).astype(np.float32)
         got = ivf.search(index, m, q, 1, 30)
-        e_q = encoder.encode_batch(m, encoder.QUERY, q)
+        e_q = encoder.encode_batch(m, encoder.QUERY, q[None])
         ref_ids, ref_dists = evaluation.brute_force_search(
             ids, encoder.encode_batch(m, encoder.ITEM, feats), e_q, 30)
         assert got.ranked == ranked(ref_ids[0], ref_dists[0])
@@ -158,9 +158,20 @@ class TestSearch:
                 q = rng.normal(size=5).astype(np.float32)
                 got = ivf.search(index, m, q, 8, 10)
                 ref_ids, ref_dists = evaluation.brute_force_search(
-                    ids, e_items, encoder.encode_batch(m, encoder.QUERY, q),
+                    ids, e_items, encoder.encode_batch(m, encoder.QUERY, q[None]),
                     10)
                 assert got.ranked == ranked(ref_ids[0], ref_dists[0])
+
+    @pytest.mark.parametrize("variant", [ivf.FLAT, ivf.PQ])
+    def test_model_of_another_output_dim_is_refused(self, rng, variant):
+        ids, feats = make_items(rng, 60, 4)
+        index = ivf.build(linear_model(4, 4, seed=1), ids, feats, ivf.CI,
+                          variant, 4, make_rng(0), pq_m=2, pq_ksub=8)
+        other = linear_model(4, 2, seed=1)
+        with pytest.raises(DimensionMismatch,
+                           match="model output_dim 2 != index dim 4"):
+            ivf.search_batch(index, other, feats[:3], 2, 5)
+        assert other.encode_calls == 0
 
     def test_stored_payload_query_ranks_first(self, rng):
         # With identical towers the query encoding of an item's feature

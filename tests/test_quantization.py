@@ -57,6 +57,12 @@ class TestPqTrain:
             pq.pq_train(rng.normal(size=(40, 10)).astype(np.float32), 3, 4,
                         make_rng(0))
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_fewer_than_one_subspace(self, rng, m):
+        with pytest.raises(BadSubspaceSplit, match=f"m={m}"):
+            pq.pq_train(rng.normal(size=(40, 8)).astype(np.float32), m, 4,
+                        make_rng(0))
+
     def test_ksub_limit(self, rng):
         with pytest.raises(ValueError):
             pq.pq_train(rng.normal(size=(400, 4)).astype(np.float32), 2, 300,
@@ -202,3 +208,13 @@ class TestAdcDistance:
         batch = pq.adc_distances_batch(table, codes)
         for i in range(len(codes)):
             assert batch[i] == pq.adc_distances_batch(table, codes[i:i + 1])[0]
+
+    @pytest.mark.parametrize("codes_dtype", [np.uint8, np.int64])
+    def test_equals_a_two_array_fancy_index_bitwise(self, rng, codes_dtype):
+        # the one-gather lookup against table[s, codes[r, s]] summed per row,
+        # on a wide table such as a query's probed tables side by side
+        m, width = 8, 4 * 16
+        table = rng.normal(size=(m, width)) ** 2
+        codes = rng.integers(0, width, size=(500, m)).astype(codes_dtype)
+        want = table[np.arange(m), codes].sum(axis=1)
+        assert pq.adc_distances_batch(table, codes).tobytes() == want.tobytes()

@@ -91,8 +91,10 @@ class TestLossSwap:
         m = linear_model(4, 3, seed=9)
         batch = random_batch(rng, 5, 4)
         delta = 0.2
-        fq = lambda x: encoder.encode_batch(m, encoder.QUERY, x)[0].astype(np.float64)
-        fi = lambda x: encoder.encode_batch(m, encoder.ITEM, x)[0].astype(np.float64)
+        fq = lambda x: encoder.encode_batch(m, encoder.QUERY,
+                                            x[None])[0].astype(np.float64)
+        fi = lambda x: encoder.encode_batch(m, encoder.ITEM,
+                                            x[None])[0].astype(np.float64)
         oracle = np.mean([
             max(0.0, delta - fi(q) @ fq(p) + fi(q) @ fq(n))
             for q, p, n in zip(batch.queries, batch.pos_items, batch.neg_items)])
