@@ -12,6 +12,7 @@ The environment variable SCI_THREADS caps numeric-library worker threads
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -23,15 +24,12 @@ from . import data_io, diagnostics, encoder, evaluation, ivf, training
 from .core import make_rng
 from .errors import SciError
 
-# Desk-scale defaults; production-scale reference values are nlist=4096,
-# nprobe=64, M=64 with 256 codewords per sub-quantizer.
-DEFAULT_MARGIN = 0.2
-DEFAULT_LAMBDA = 0.3
-DEFAULT_MODE = "convex"
-DEFAULT_NLIST = 16
-DEFAULT_NPROBE = 4
-DEFAULT_PQ_M = 8
-DEFAULT_PQ_KSUB = 16
+# Defaults that the flags take from the library rather than restate.
+_LOSS = training.LossConfig()
+_BUILD = {name: p.default
+          for name, p in inspect.signature(ivf.build).parameters.items()}
+# Triplet rows as gen-data writes them, in TripletBatch field order.
+_TRIPLET_FILES = ("triplets_q.sciv", "triplets_pos.sciv", "triplets_neg.sciv")
 
 
 def _int_list(text):
@@ -48,7 +46,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetric dual-tower training and consistent IVF indexing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic benchmark")
+    # Flags shared by several commands, each declared once.
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    # Desk-scale defaults; production-scale reference values are nlist=4096,
+    # nprobe=64, M=64 with 256 codewords per sub-quantizer.
+    index = argparse.ArgumentParser(add_help=False, parents=[model])
+    index.add_argument("--items", required=True, help="items .sciv file")
+    index.add_argument("--variant", choices=("flat", "pq"), default="flat")
+    index.add_argument("--nlist", type=int, default=16)
+    index.add_argument("--pq-m", type=int, default=_BUILD["pq_m"])
+    index.add_argument("--pq-ksub", type=int, default=_BUILD["pq_ksub"])
+    index.add_argument("--residual-space", choices=("repr", "struct"),
+                       default=_BUILD["residual_space"])
+
+    def command(name, text, *parents):
+        return sub.add_parser(name, help=text, parents=[*parents, seed])
+
+    p = command("gen-data", "generate a synthetic benchmark")
     p.add_argument("--items", type=int, required=True)
     p.add_argument("--queries", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
@@ -56,10 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--misalign", type=float, required=True,
                    help="item-feature rotation angle in radians")
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("train", help="train a dual-tower model")
+    p = command("train", "train a dual-tower model")
     p.add_argument("--data", required=True, help="gen-data output directory")
     p.add_argument("--arch", choices=("linear", "mlp1"), default="linear")
     p.add_argument("--hidden", type=int, default=32,
@@ -67,68 +83,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dim", type=int, default=0,
                    help="embedding dim (0 = input dim)")
     p.add_argument("--lambda", dest="lambda_weight", type=float,
-                   default=DEFAULT_LAMBDA)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
+                   default=_LOSS.lambda_weight)
+    p.add_argument("--margin", type=float, default=_LOSS.margin_delta)
     p.add_argument("--mode", choices=("convex", "additive"),
-                   default=DEFAULT_MODE)
+                   default=_LOSS.combine_mode)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--raw-scores", action="store_true",
                    help="disable output L2 normalization")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model file (.scim)")
     p.add_argument("--history", default="",
                    help="history CSV path (default: <out>.history.csv)")
 
-    p = sub.add_parser("diagnose", help="alignment/anisotropy/pair-stat report")
-    p.add_argument("--model", required=True)
+    p = command("diagnose", "alignment/anisotropy/pair-stat report", model)
     p.add_argument("--data", required=True, help="gen-data output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="JSON path (default: stdout)")
 
-    p = sub.add_parser("build-index", help="build an IVF index")
-    p.add_argument("--model", required=True)
-    p.add_argument("--items", required=True, help="items .sciv file")
+    p = command("build-index", "build an IVF index", index)
     p.add_argument("--mode", choices=("standard", "ci"), default="ci")
-    p.add_argument("--variant", choices=("flat", "pq"), default="flat")
-    p.add_argument("--nlist", type=int, default=DEFAULT_NLIST)
-    p.add_argument("--pq-m", type=int, default=DEFAULT_PQ_M)
-    p.add_argument("--pq-ksub", type=int, default=DEFAULT_PQ_KSUB)
-    p.add_argument("--residual-space", choices=("repr", "struct"),
-                   default="repr")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="index file (.scix)")
 
-    p = sub.add_parser("search", help="query an index")
+    p = command("search", "query an index", model)
     p.add_argument("--index", required=True)
-    p.add_argument("--model", required=True)
     p.add_argument("--queries", required=True, help="queries .sciv file")
-    p.add_argument("--nprobe", type=int, default=DEFAULT_NPROBE)
+    p.add_argument("--nprobe", type=int, default=4)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="run TSV path")
 
-    p = sub.add_parser("eval", help="score a run against qrels")
+    p = command("eval", "score a run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--k", type=_int_list, default=[1, 10])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="CSV path (default: stdout)")
 
-    p = sub.add_parser("sweep", help="standard-vs-ci nprobe sweep")
-    p.add_argument("--model", required=True)
-    p.add_argument("--items", required=True)
+    p = command("sweep", "standard-vs-ci nprobe sweep", index)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--nlist", type=int, default=DEFAULT_NLIST)
-    p.add_argument("--variant", choices=("flat", "pq"), default="flat")
-    p.add_argument("--pq-m", type=int, default=DEFAULT_PQ_M)
-    p.add_argument("--pq-ksub", type=int, default=DEFAULT_PQ_KSUB)
-    p.add_argument("--residual-space", choices=("repr", "struct"),
-                   default="repr")
     p.add_argument("--nprobe", type=_int_list, default=[1, 2, 4, 8, 16])
     p.add_argument("--k", type=_int_list, default=[1, 10])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="sweep CSV path")
     return parser
 
@@ -159,30 +151,18 @@ def _cmd_gen_data(args) -> int:
     data_io.write_vectors(join("items.sciv"), data.item_features, data.item_ids)
     data_io.write_vectors(join("queries.sciv"), data.query_features,
                           data.query_ids)
-    q = np.concatenate([b.queries for b in data.triplets])
-    pos = np.concatenate([b.pos_items for b in data.triplets])
-    neg = np.concatenate([b.neg_items for b in data.triplets])
-    data_io.write_vectors(join("triplets_q.sciv"), q)
-    data_io.write_vectors(join("triplets_pos.sciv"), pos)
-    data_io.write_vectors(join("triplets_neg.sciv"), neg)
+    columns = zip(*((b.queries, b.pos_items, b.neg_items)
+                    for b in data.triplets))
+    for name, rows in zip(_TRIPLET_FILES, columns):
+        data_io.write_vectors(join(name), np.concatenate(rows))
     data_io.write_qrels(join("qrels.tsv"), data.qrels)
     return 0
 
 
-def _load_triplet_batches(data_dir):
-    q, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_q.sciv"))
-    pos, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_pos.sciv"))
-    neg, _ = data_io.read_vectors(os.path.join(data_dir, "triplets_neg.sciv"))
-    batches = []
-    for start in range(0, len(q), data_io.TRIPLET_BATCH_SIZE):
-        stop = start + data_io.TRIPLET_BATCH_SIZE
-        batches.append(training.TripletBatch(q[start:stop], pos[start:stop],
-                                             neg[start:stop]))
-    return batches
-
-
 def _cmd_train(args) -> int:
-    batches = _load_triplet_batches(args.data)
+    batches = training.TripletBatch.batches(*(
+        data_io.read_vectors(os.path.join(args.data, name))[0]
+        for name in _TRIPLET_FILES))
     if not batches:
         raise ValueError(f"no triplets in {args.data}")
     input_dim = batches[0].queries.shape[1]
@@ -229,15 +209,19 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
+def _build(args, model, ids, feats, mode):
+    """`ivf.build` with the index flags that build-index and sweep share."""
+    return ivf.build(model, ids, feats, mode, args.variant, args.nlist,
+                     make_rng(args.seed), pq_m=args.pq_m, pq_ksub=args.pq_ksub,
+                     residual_space=args.residual_space)
+
+
 def _cmd_build_index(args) -> int:
     model = data_io.load_model(args.model)
     feats, ids = data_io.read_vectors(args.items)
     calls_before = model.encode_calls
     t0 = time.perf_counter()
-    index = ivf.build(model, ids, feats, args.mode, args.variant, args.nlist,
-                      make_rng(args.seed), pq_m=args.pq_m,
-                      pq_ksub=args.pq_ksub,
-                      residual_space=args.residual_space)
+    index = _build(args, model, ids, feats, args.mode)
     elapsed = time.perf_counter() - t0
     ivf.save(index, args.out)
     print(f"built {args.mode}/{args.variant} index over {index.n_items} items "
@@ -285,12 +269,8 @@ def _cmd_sweep(args) -> int:
     feats, ids = data_io.read_vectors(args.items)
     queries, query_ids = data_io.read_vectors(args.queries)
     qrels = data_io.read_qrels(args.qrels)
-    kwargs = dict(pq_m=args.pq_m, pq_ksub=args.pq_ksub,
-                  residual_space=args.residual_space)
-    index_std = ivf.build(model, ids, feats, ivf.STANDARD, args.variant,
-                          args.nlist, make_rng(args.seed), **kwargs)
-    index_ci = ivf.build(model, ids, feats, ivf.CI, args.variant, args.nlist,
-                         make_rng(args.seed), **kwargs)
+    index_std, index_ci = (_build(args, model, ids, feats, mode)
+                           for mode in (ivf.STANDARD, ivf.CI))
     result = evaluation.nprobe_sweep(index_std, index_ci, model, query_ids,
                                      queries, qrels, args.nprobe, args.k)
     _emit_csv("method,nprobe,metric,cutoff,value",

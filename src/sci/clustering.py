@@ -62,7 +62,7 @@ def _kmeans_pp_init(x64, k, rng):
     return centers
 
 
-def kmeans(vectors, k: int, rng=None) -> Centroids:
+def kmeans(vectors, k: int, rng) -> Centroids:
     """Cluster into exactly k centers; inertia is non-increasing per iteration."""
     x = np.asarray(vectors, dtype=np.float32)
     if x.ndim != 2:
@@ -72,8 +72,6 @@ def kmeans(vectors, k: int, rng=None) -> Centroids:
         raise ValueError("k must be >= 1")
     if n < k:
         raise TooFewPoints(f"{n} vectors for k={k}")
-    if rng is None:
-        raise ValueError("an explicit rng is required for determinism")
     x64 = x.astype(np.float64)
     centers = _kmeans_pp_init(x64, k, rng)
     cols = np.ascontiguousarray(x64.T)

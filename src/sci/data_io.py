@@ -8,9 +8,9 @@ queries and items carry the same semantics in rotated subspaces.
 File formats (all integers little-endian):
   vectors  "SCIV" | version u32 | dim u32 | count u64 | f32 row-major payload
            (ids, when present, live in a sibling <path>.ids file, u64/row)
-  model    "SCIM" | version u32 | arch u8 | normalize u8 | input u32 |
-           output u32 | hidden u32 | params f32 (query tower then item
-           tower, each W / or W1,b1,W2,b2)
+  model    "SCIM" | version u32 | arch u8 | normalize u8 (0 or 1) |
+           input u32 | output u32 | hidden u32 | params f32 (query tower
+           then item tower, each in `DualTowerModel.layout` order)
   qrels    TSV query_id \t item_id \t grade
   runs     TSV query_id \t rank \t item_id \t score
 """
@@ -35,7 +35,6 @@ from .training import TripletBatch
 _VEC_MAGIC = b"SCIV"
 _MODEL_MAGIC = b"SCIM"
 _VERSION = 1
-TRIPLET_BATCH_SIZE = 64  # per training batch, generated and read back alike
 TRIPLETS_PER_QUERY = 4
 
 
@@ -124,28 +123,18 @@ def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
     item_ids = np.arange(spec.n_items, dtype=np.uint64)
     query_ids = np.arange(spec.n_queries, dtype=np.uint64)
 
-    qrels = {}
-    for q in range(spec.n_queries):
-        members = np.flatnonzero(item_labels == query_labels[q])
-        qrels[int(q)] = {int(i): 1 for i in members}
-
     # Triplets: positive from the query's cluster, negative from another.
-    q_feats, pos_feats, neg_feats = [], [], []
+    qrels, pos_rows, neg_rows = {}, [], []
     for q in range(spec.n_queries):
-        members = np.flatnonzero(item_labels == query_labels[q])
-        others = np.flatnonzero(item_labels != query_labels[q])
+        same = item_labels == query_labels[q]
+        members, others = np.flatnonzero(same), np.flatnonzero(~same)
+        qrels[q] = {int(i): 1 for i in members}
         for _ in range(TRIPLETS_PER_QUERY):
-            pos = members[int(rng.integers(0, len(members)))]
-            neg = others[int(rng.integers(0, len(others)))]
-            q_feats.append(query_features[q])
-            pos_feats.append(item_features[pos])
-            neg_feats.append(item_features[neg])
-    triplets = []
-    for start in range(0, len(q_feats), TRIPLET_BATCH_SIZE):
-        stop = start + TRIPLET_BATCH_SIZE
-        triplets.append(TripletBatch(np.asarray(q_feats[start:stop]),
-                                     np.asarray(pos_feats[start:stop]),
-                                     np.asarray(neg_feats[start:stop])))
+            pos_rows.append(members[int(rng.integers(0, len(members)))])
+            neg_rows.append(others[int(rng.integers(0, len(others)))])
+    triplets = TripletBatch.batches(
+        np.repeat(query_features, TRIPLETS_PER_QUERY, axis=0),
+        item_features[pos_rows], item_features[neg_rows])
 
     return SyntheticData(item_ids, item_features, query_ids, query_features,
                          triplets, qrels, item_labels, query_labels)
@@ -293,12 +282,14 @@ _ARCH_TAGS = {encoder.LINEAR: 0, encoder.MLP1: 1}
 
 
 def save_model(path, model: encoder.DualTowerModel) -> None:
+    shapes = model.layout(model.arch, model.input_dim, model.output_dim,
+                          model.hidden_dim)
     header = struct.pack("<BBIII", _ARCH_TAGS[model.arch],
                          int(model.normalize_output), model.input_dim,
                          model.output_dim, model.hidden_dim)
     params = [tower[name].astype("<f4").tobytes()
               for tower in (model.params_q, model.params_i)
-              for name in model.param_names()]
+              for name in shapes]
     write_container(path, _MODEL_MAGIC, [header] + params)
 
 
@@ -306,11 +297,13 @@ def load_model(path) -> encoder.DualTowerModel:
     r = open_container(path, _MODEL_MAGIC)
     arch = r.tag(_ARCH_TAGS)
     norm, input_dim, output_dim, hidden_dim = r.unpack("<BIII")
-    if arch == encoder.LINEAR:
-        shapes = {"W": (output_dim, input_dim)}
-    else:
-        shapes = {"W1": (hidden_dim, input_dim), "b1": (hidden_dim,),
-                  "W2": (output_dim, hidden_dim), "b2": (output_dim,)}
+    if norm > 1:
+        raise r.error(9, f"normalize flag {norm} is not 0 or 1")
+    try:
+        shapes = encoder.DualTowerModel.layout(arch, input_dim, output_dim,
+                                               hidden_dim)
+    except ValueError as exc:
+        raise r.error(10, str(exc)) from None  # the dims block, bytes 10-21
     towers = [{name: r.array("<f4", shape) for name, shape in shapes.items()}
               for _ in range(2)]
     r.end()

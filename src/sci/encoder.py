@@ -53,25 +53,23 @@ class DualTowerModel:
                 return False
         return True
 
-    def param_names(self):
-        if self.arch == LINEAR:
-            return ("W",)
-        return ("W1", "b1", "W2", "b2")
-
-
-def _init_tower(arch, input_dim, output_dim, hidden_dim, rng) -> dict:
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    if arch == LINEAR:
-        return {"W": uniform((output_dim, input_dim), input_dim)}
-    return {
-        "W1": uniform((hidden_dim, input_dim), input_dim),
-        "b1": np.zeros(hidden_dim, dtype=np.float32),
-        "W2": uniform((output_dim, hidden_dim), hidden_dim),
-        "b2": np.zeros(output_dim, dtype=np.float32),
-    }
+    @staticmethod
+    def layout(arch: str, input_dim: int, output_dim: int,
+               hidden_dim: int) -> dict:
+        """Name -> shape of one tower's parameters, in file and draw order.
+        Raises ValueError for a combination no model has: dims must be >= 1,
+        hidden_dim 0 for linear and >= 1 for mlp1."""
+        if arch not in (LINEAR, MLP1):
+            raise ValueError(f"unknown arch {arch!r}")
+        if min(input_dim, output_dim) < 1 or (
+                hidden_dim != 0 if arch == LINEAR else hidden_dim < 1):
+            raise ValueError(f"no {arch} model has input_dim {input_dim}, "
+                             f"output_dim {output_dim}, "
+                             f"hidden_dim {hidden_dim}")
+        if arch == LINEAR:
+            return {"W": (output_dim, input_dim)}
+        return {"W1": (hidden_dim, input_dim), "b1": (hidden_dim,),
+                "W2": (output_dim, hidden_dim), "b2": (output_dim,)}
 
 
 def init(arch: str, input_dim: int, output_dim: int, rng,
@@ -79,20 +77,21 @@ def init(arch: str, input_dim: int, output_dim: int, rng,
     """Random uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases.
 
     The two towers are drawn independently, so they start deliberately
-    misaligned.
+    misaligned. A linear model ignores hidden_dim.
     """
-    if arch not in (LINEAR, MLP1):
-        raise ValueError(f"unknown arch {arch!r}")
-    if input_dim <= 0 or output_dim <= 0:
-        raise ValueError("dims must be positive")
-    if arch == MLP1 and hidden_dim <= 0:
-        raise ValueError("mlp1 requires a positive hidden_dim")
-    if arch == LINEAR:
-        hidden_dim = 0
-    params_q = _init_tower(arch, input_dim, output_dim, hidden_dim, rng)
-    params_i = _init_tower(arch, input_dim, output_dim, hidden_dim, rng)
+    hidden_dim = 0 if arch == LINEAR else hidden_dim
+    shapes = DualTowerModel.layout(arch, input_dim, output_dim, hidden_dim)
+
+    def draw(shape):  # a weight is (fan_out, fan_in); a bias is 1-D
+        if len(shape) == 1:
+            return np.zeros(shape, dtype=np.float32)
+        bound = 1.0 / np.sqrt(shape[1])
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+    towers = [{name: draw(shape) for name, shape in shapes.items()}
+              for _ in (QUERY, ITEM)]
     return DualTowerModel(arch, input_dim, output_dim, hidden_dim,
-                          normalize_output, params_q, params_i)
+                          normalize_output, *towers)
 
 
 def forward(params: dict, arch: str, normalize: bool, x: np.ndarray,
@@ -126,8 +125,6 @@ def encode_batch(model: DualTowerModel, tower: str, xs) -> np.ndarray:
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise DimensionMismatch(f"inputs {xs.shape} are not rows of "
                                 f"model input_dim {model.input_dim}")
-    if xs.shape[0] == 0:
-        return np.zeros((0, model.output_dim), dtype=np.float32)
     if tower not in (QUERY, ITEM):
         raise ValueError(f"unknown tower {tower!r}")
     params = model.params_q if tower == QUERY else model.params_i

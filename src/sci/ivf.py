@@ -64,6 +64,8 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
         raise ValueError(f"unknown variant {variant!r}")
     if residual_space not in (RESIDUAL_REPR, RESIDUAL_STRUCT):
         raise ValueError(f"unknown residual_space {residual_space!r}")
+    if nlist < 1:
+        raise ValueError(f"nlist must be >= 1, got {nlist}")
     ids = as_ids(ids)
     X = np.asarray(X, dtype=np.float32)
     if X.ndim != 2 or ids.shape != (len(X),):
@@ -211,20 +213,30 @@ def load(path) -> IvfIndex:
     dim, nlist, n_items = r.unpack("<IIQ")
     if dim == 0 or nlist == 0:
         raise r.error(12 if dim == 0 else 16, "dim and nlist must be >= 1")
-    if variant == PQ and (pq_m == 0 or dim % pq_m != 0):
-        raise r.error(10, f"bad PQ sub-quantizer count {pq_m}")
+    if (pq_m != 0) if variant == FLAT else (pq_m == 0 or dim % pq_m != 0):
+        raise r.error(10, f"bad PQ sub-quantizer count {pq_m} for a "
+                          f"{variant} index")
     centers = r.array("<f4", (nlist, dim))
     centroids = Centroids(centers, *r.unpack("<dI"))
     dtype, width = ("<f4", dim) if variant == FLAT else (np.uint8, pq_m)
 
-    list_ids, list_payload, payload_offsets = [], [], []
+    list_ids, list_payload, id_offsets, payload_offsets = [], [], [], []
     for _ in range(nlist):
         count, = r.unpack("<Q")
+        id_offsets.append(r.offset)
         list_ids.append(r.array("<u8", (count,)))
         payload_offsets.append(r.offset)
         list_payload.append(r.array(dtype, (count, width)))
     if sum(len(i) for i in list_ids) != n_items:
         raise r.error(r.offset, "n_items does not match list sizes")
+    ids = np.concatenate(list_ids)
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
+        first = np.unique(ids, return_index=True)[1]  # each id's first row
+        pos = int(np.setdiff1d(np.arange(len(ids)), first)[0])
+        at = np.concatenate([offset + 8 * np.arange(len(i))
+                             for offset, i in zip(id_offsets, list_ids)])
+        raise r.error(int(at[pos]), f"item id {ids[pos]} repeated")
 
     codebook = None
     if variant == PQ:

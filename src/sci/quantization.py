@@ -50,8 +50,9 @@ def pq_train(residuals, m: int, ksub: int, rng) -> PqCodebook:
     if m < 1 or dim % m != 0:
         raise BadSubspaceSplit(f"dim {dim} cannot be split into m={m} "
                                f"equal subspaces")
-    if ksub > 256:
-        raise ValueError("ksub must fit in one byte (<= 256)")
+    if not 1 <= ksub <= 256:
+        raise ValueError(f"ksub must lie in [1, 256] (one byte per code), "
+                         f"got {ksub}")
     sub_dim = dim // m
     subs = _split(x, m, sub_dim)
     codebooks = np.empty((m, ksub, sub_dim), dtype=np.float32)

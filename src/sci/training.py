@@ -20,6 +20,7 @@ from .errors import (DegenerateTriplet, DimensionMismatch, Diverged,
 
 CONVEX = "convex"      # (1 - lambda) * L_direct + lambda * L_swap
 ADDITIVE = "additive"  # L_direct + lambda * L_swap
+TRIPLET_BATCH_SIZE = 64
 
 
 @dataclass
@@ -41,6 +42,13 @@ class TripletBatch:
 
     def __len__(self):
         return self.queries.shape[0]
+
+    @classmethod
+    def batches(cls, queries, pos_items, neg_items) -> list:
+        """Consecutive batches of TRIPLET_BATCH_SIZE aligned triplet rows."""
+        n = TRIPLET_BATCH_SIZE
+        return [cls(queries[s:s + n], pos_items[s:s + n], neg_items[s:s + n])
+                for s in range(0, len(queries), n)]
 
 
 @dataclass
@@ -70,6 +78,10 @@ class TrainConfig:
     learning_rate: float
     seed: int
     loss: LossConfig = field(default_factory=LossConfig)
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 @dataclass

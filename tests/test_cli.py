@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from sci import cli, data_io, ivf
+from sci import cli, data_io, ivf, training
 
 
 def run_ok(argv):
@@ -236,6 +236,38 @@ class TestErrors:
         assert err == f"sci: error: no triplets in {data}\n"
         assert not (tmp_path / "m.scim").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--nlist", "0"], "nlist must be >= 1, got 0"),
+        (["--nlist", "-4"], "nlist must be >= 1, got -4"),
+        (["--variant", "pq", "--pq-ksub", "0"], "ksub must lie in [1, 256]"),
+        (["--variant", "pq", "--pq-ksub", "257"], "got 257")],
+        ids=["nlist-0", "nlist-negative", "pq-ksub-0", "pq-ksub-257"])
+    @pytest.mark.parametrize("command", ["build-index", "sweep"])
+    def test_index_flag_out_of_range_is_exit_1(self, pipeline, tmp_path,
+                                               capsys, command, flags,
+                                               message):
+        data = pipeline["data"]
+        argv = [command, "--model", pipeline["model"], "--items",
+                os.path.join(data, "items.sciv"), "--nlist", "4", *flags,
+                "--pq-m", "2", "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--queries", os.path.join(data, "queries.sciv"),
+                     "--qrels", os.path.join(data, "qrels.tsv")]
+        capsys.readouterr()
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sci: error:") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_epochs_is_exit_1(self, pipeline, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.run(["train", "--data", pipeline["data"], "--epochs", "-1",
+                        "--out", str(tmp_path / "m.scim")]) == 1
+        err = capsys.readouterr().err
+        assert err == "sci: error: epochs must be >= 0, got -1\n"
+        assert not (tmp_path / "m.scim").exists()
+
     def test_corrupt_index_is_exit_1(self, pipeline, tmp_path):
         bad = tmp_path / "bad.scix"
         bad.write_bytes(b"JUNKJUNK")
@@ -243,6 +275,33 @@ class TestErrors:
                         pipeline["model"], "--queries",
                         os.path.join(pipeline["data"], "queries.sciv"),
                         "--out", str(tmp_path / "r.tsv")]) == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_command_takes_a_seed(self, capsys, command):
+        capsys.readouterr()
+        assert cli.run([command, "--help"]) == 0
+        assert "--seed SEED" in capsys.readouterr().out
+
+    def test_build_index_and_sweep_share_the_index_defaults(self):
+        parser = cli.build_parser()
+        common = ["--model", "m", "--items", "i", "--out", "o"]
+        build = parser.parse_args(["build-index", *common])
+        sweep = parser.parse_args(["sweep", *common, "--queries", "q",
+                                   "--qrels", "r"])
+        names = ["model", "items", "variant", "nlist", "pq_m", "pq_ksub",
+                 "residual_space", "seed"]
+        assert [getattr(build, n) for n in names] == \
+            [getattr(sweep, n) for n in names] == \
+            ["m", "i", ivf.FLAT, 16, 8, 16, ivf.RESIDUAL_REPR, 0]
+
+    def test_loss_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--data", "d",
+                                              "--out", "o"])
+        loss = training.LossConfig()
+        assert (args.margin, args.lambda_weight, args.mode) == \
+            (loss.margin_delta, loss.lambda_weight, loss.combine_mode)
 
 
 class TestNonFiniteInputs:

@@ -133,7 +133,7 @@ class TestKmeans:
                               rng=make_rng(0))
 
     def test_requires_rng(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             clustering.kmeans(np.zeros((10, 2), dtype=np.float32), 2)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import struct
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sci import data_io, encoder
+from sci.core import make_rng
 from sci.errors import CorruptFile, DuplicateQrel, ParseError
 
 from conftest import linear_model, mlp_model
@@ -271,6 +273,45 @@ class TestModelFiles:
         data_io.save_model(a, m)
         data_io.save_model(b, m)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("arch, hidden, normalize, digest", [
+        (encoder.LINEAR, 32, True,
+         "64a2b374ac7d1f0a8c1358ce908fba823289f220a7d6ae68e693ca13a57c9768"),
+        (encoder.MLP1, 5, False,
+         "4ccb67c3667ba5720c8e863938a372af0b69fed0b4dc347858c29dcd53c0f48e")])
+    def test_initial_model_bytes_are_pinned(self, tmp_path, arch, hidden,
+                                            normalize, digest):
+        # PCG64 draws and elementwise float arithmetic only (no BLAS), so the
+        # bytes are the same on every platform; any change to the parameter
+        # layout, the draw order or the init arithmetic changes them.
+        m = encoder.init(arch, 8, 4, make_rng(7), hidden_dim=hidden,
+                         normalize_output=normalize)
+        path = tmp_path / "m.scim"
+        data_io.save_model(path, m)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("arch, offset, value", [
+        (encoder.LINEAR, 9, b"\x02"),
+        (encoder.LINEAR, 9, b"\xff"),
+        (encoder.LINEAR, 18, struct.pack("<I", 1)),
+        (encoder.MLP1, 18, struct.pack("<I", 0)),
+        (encoder.MLP1, 14, struct.pack("<I", 0)),
+        (encoder.LINEAR, 10, struct.pack("<I", 0))],
+        ids=["normalize-2", "normalize-255", "linear-hidden-1",
+             "mlp1-hidden-0", "output-0", "input-0"])
+    def test_header_no_model_has(self, tmp_path, arch, offset, value):
+        # header: magic 0-3, version 4-7, arch 8, normalize 9, then input,
+        # output and hidden dims at 10, 14 and 18
+        path = tmp_path / "m.scim"
+        model = (linear_model(3, 2) if arch == encoder.LINEAR
+                 else mlp_model(3, 2, hidden=2))
+        data_io.save_model(path, model)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptFile) as exc:
+            data_io.load_model(path)
+        assert exc.value.offset == (9 if offset == 9 else 10)
 
 
 class TestQrels:

@@ -49,6 +49,23 @@ class TestInit:
         with pytest.raises(ValueError):
             encoder.init(encoder.MLP1, 8, 4, make_rng(0))
 
+    @pytest.mark.parametrize("arch, dims", [(encoder.LINEAR, (0, 4)),
+                                            (encoder.LINEAR, (8, 0)),
+                                            (encoder.MLP1, (0, 4)),
+                                            (encoder.MLP1, (8, -1))])
+    def test_dims_below_one(self, arch, dims):
+        with pytest.raises(ValueError, match=f"no {arch} model"):
+            encoder.init(arch, *dims, make_rng(0), hidden_dim=3)
+
+
+class TestLayout:
+    def test_names_and_shapes_in_draw_order(self):
+        assert list(encoder.DualTowerModel.layout(
+            encoder.LINEAR, 8, 4, 0).items()) == [("W", (4, 8))]
+        assert list(encoder.DualTowerModel.layout(
+            encoder.MLP1, 8, 4, 6).items()) == [
+                ("W1", (6, 8)), ("b1", (6,)), ("W2", (4, 6)), ("b2", (4,))]
+
 
 class TestEncode:
     """One input vector is encoded as a batch of one row."""
@@ -95,9 +112,14 @@ class TestEncode:
 
 class TestEncodeBatch:
     def test_empty_batch(self):
-        m = linear_model(4, 3)
-        out = encoder.encode_batch(m, encoder.QUERY, np.zeros((0, 4)))
-        assert out.shape == (0, 3)
+        for m in (linear_model(4, 3), mlp_model(4, 3, hidden=5)):
+            out = encoder.encode_batch(m, encoder.QUERY, np.zeros((0, 4)))
+            assert out.shape == (0, 3) and out.dtype == np.float32
+            assert m.encode_calls == 0
+
+    def test_empty_batch_still_checks_the_tower(self):
+        with pytest.raises(ValueError, match="unknown tower"):
+            encoder.encode_batch(linear_model(4, 3), "other", np.zeros((0, 4)))
 
     def test_singleton_equals_encode(self, rng):
         m = linear_model(4, 3)

@@ -135,6 +135,14 @@ class TestBuild:
             ivf.build(m, *make_items(rng, 3, 4), ivf.STANDARD, ivf.FLAT, 8,
                       make_rng(0))
 
+    @pytest.mark.parametrize("nlist", [0, -3])
+    def test_nlist_below_one(self, rng, nlist):
+        m = linear_model(4, 4)
+        with pytest.raises(ValueError, match=f">= 1, got {nlist}"):
+            ivf.build(m, *make_items(rng, 10, 4), ivf.STANDARD, ivf.FLAT,
+                      nlist, make_rng(0))
+        assert m.encode_calls == 0
+
     def test_pq_residual_space_ablation(self, rng):
         m = linear_model(6, 6, seed=3)
         ids, feats = make_items(rng, 64, 6)
@@ -430,6 +438,36 @@ class TestSerialization:
         with pytest.raises(CorruptIndex) as exc:
             ivf.load(path)
         assert exc.value.offset == 12
+
+    @pytest.mark.parametrize("pq_m", [1, 2, 255])
+    def test_flat_index_with_sub_quantizers(self, tmp_path, pq_m):
+        data = bytearray(self._flat_file(4, 1, [[7]]))
+        data[10] = pq_m
+        path = tmp_path / "index.scix"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptIndex, match=f"count {pq_m} for a flat") \
+                as exc:
+            ivf.load(path)
+        assert exc.value.offset == 10
+
+    @pytest.mark.parametrize("lists, position", [
+        ([[3, 9], [5, 9, 4]], (1, 1)),
+        ([[2, 2, 2]], (0, 1)),
+        ([[8, 1], [], [6, 1, 8]], (2, 1))],
+        ids=["across-lists", "within-a-list", "twice-after-an-empty-list"])
+    def test_repeated_item_id(self, tmp_path, lists, position):
+        dim, nlist = 2, len(lists)
+        path = tmp_path / "index.scix"
+        path.write_bytes(self._flat_file(dim, nlist, lists))
+        # the first id, in file order, that an earlier id repeats
+        j, row = position
+        offset = 28 + 4 * nlist * dim + 12 + sum(
+            8 + 8 * len(ids) + 4 * dim * len(ids) for ids in lists[:j])
+        offset += 8 + 8 * row
+        with pytest.raises(CorruptIndex,
+                           match=f"item id {lists[j][row]} repeated") as exc:
+            ivf.load(path)
+        assert exc.value.offset == offset
 
     def test_pq_code_not_below_ksub(self, rng, tmp_path):
         m = linear_model(8, 8, seed=2)

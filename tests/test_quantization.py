@@ -64,9 +64,10 @@ class TestPqTrain:
                         make_rng(0))
 
     def test_ksub_limit(self, rng):
-        with pytest.raises(ValueError):
-            pq.pq_train(rng.normal(size=(400, 4)).astype(np.float32), 2, 300,
-                        make_rng(0))
+        for ksub in (0, -1, 257, 300):
+            with pytest.raises(ValueError, match=f"ksub .*got {ksub}"):
+                pq.pq_train(rng.normal(size=(400, 4)).astype(np.float32), 2,
+                            ksub, make_rng(0))
 
 
 class TestPqEncode:

@@ -222,6 +222,18 @@ class TestTrain:
         _, history = training.train(linear_model(4, 4, seed=5), batches, cfg)
         assert history[-1][3] < history[0][3]
 
+    def test_zero_epochs_leave_the_model(self, rng):
+        m = linear_model(4, 4, seed=3)
+        before = clone_model(m)
+        m, history = training.train(m, self._dataset(rng),
+                                    training.TrainConfig(0, 0.1, 0))
+        assert m == before and history == []
+
+    @pytest.mark.parametrize("epochs", [-1, -200])
+    def test_negative_epochs(self, epochs):
+        with pytest.raises(ValueError, match=f"epochs .* got {epochs}"):
+            training.TrainConfig(epochs, 0.05, 0)
+
     def test_history_shape(self, rng):
         cfg = training.TrainConfig(4, 0.01, 0)
         _, history = training.train(linear_model(4, 4), self._dataset(rng), cfg)
