@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import nearest, pairwise_sq_dists
-from .errors import DimensionMismatch, TooFewPoints
+from .core import _equal, _rows, nearest, pairwise_sq_dists
+from .errors import TooFewPoints
 
 MAX_ITERS = 25
 TOL = 1e-4
@@ -25,20 +25,10 @@ class Centroids:
     iterations_run: int
     inertia_history: list = field(default_factory=list, compare=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, Centroids):
-            return NotImplemented
-        return (np.array_equal(self.centers, other.centers)
-                and self.inertia == other.inertia
-                and self.iterations_run == other.iterations_run)
+    __eq__ = _equal
 
-    @property
-    def k(self):
-        return self.centers.shape[0]
-
-    @property
-    def dim(self):
-        return self.centers.shape[1]
+    k = property(lambda self: self.centers.shape[0])
+    dim = property(lambda self: self.centers.shape[1])
 
 
 def _kmeans_pp_init(x64, k, rng):
@@ -64,9 +54,7 @@ def _kmeans_pp_init(x64, k, rng):
 
 def kmeans(vectors, k: int, rng) -> Centroids:
     """Cluster into exactly k centers; inertia is non-increasing per iteration."""
-    x = np.asarray(vectors, dtype=np.float32)
-    if x.ndim != 2:
-        raise DimensionMismatch("expected a 2-D array of vectors")
+    x = _rows(vectors, "vectors")
     n = x.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -117,7 +105,4 @@ def kmeans(vectors, k: int, rng) -> Centroids:
 
 def assign_batch(centroids: Centroids, x) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center of each row by squared L2; ties broken by lowest index."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 2 or x.shape[1] != centroids.dim:
-        raise DimensionMismatch(f"shape {x.shape} vs centroids dim {centroids.dim}")
-    return nearest(x, centroids.centers)
+    return nearest(_rows(x, "vectors", centroids.dim), centroids.centers)

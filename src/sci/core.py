@@ -16,9 +16,11 @@ argmin over `pairwise_sq_dists`, bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .errors import ZeroNorm
+from .errors import DimensionMismatch, ZeroNorm
 
 # Float64 elements in one difference tensor of `pairwise_sq_dists` or one
 # score block of `nearest` (512 KiB), or one row of x against all of c when
@@ -56,6 +58,48 @@ def as_ids(ids) -> np.ndarray:
     if np.any(a < 0):
         raise ValueError("ids must be non-negative")
     return a.astype(np.uint64, copy=False)
+
+
+def _rows(x, name: str, width: int | None = None,
+          dtype=np.float32) -> np.ndarray:
+    """The package's one shape rule for an array input: `x` as a 2-D array
+    of `dtype` (kept as is for None) with at least one column, and exactly
+    `width` columns when given. No copy when x already is one. Raises
+    DimensionMismatch naming the input, its shape and the width."""
+    a = np.asarray(x, dtype=dtype)
+    if a.ndim != 2 or a.shape[1] < 1 or width not in (None, a.shape[1]):
+        want = ">= 1" if width is None else width
+        raise DimensionMismatch(f"{name} have shape {a.shape}, not rows of "
+                                f"width {want}")
+    return a
+
+
+def _row_ids(ids, x: np.ndarray, name: str) -> np.ndarray:
+    """`as_ids` of ids that must hold one id per row of x."""
+    ids = as_ids(ids)
+    if ids.shape != (len(x),):
+        raise DimensionMismatch(f"ids of shape {ids.shape} do not line up "
+                                f"with the {len(x)} rows of {name}")
+    return ids
+
+
+def _equal(a, b) -> bool:
+    """Value equality, the `__eq__` of every record that holds arrays:
+    dataclasses field by field (skipping compare=False), dicts, lists and
+    tuples member by member, arrays by `np.array_equal`, the rest by ==."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _equal(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a) if f.compare)
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(_equal(a[key], b[key]) for key in a))
+    if isinstance(a, (list, tuple)):
+        return (isinstance(b, (list, tuple)) and len(a) == len(b)
+                and all(map(_equal, a, b)))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 def row_normalize(x: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .core import make_rng
+from .core import _equal, make_rng
 from .errors import CorruptFile, DuplicateQrel, ParseError
 from .training import TripletBatch
 
@@ -73,6 +73,8 @@ class SyntheticData:
     qrels: dict           # query_id -> {item_id: grade}
     item_labels: np.ndarray
     query_labels: np.ndarray
+
+    __eq__ = _equal
 
 
 def rotation_matrix(dim: int, angle: float) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import encoder
+from .core import _rows
 from .errors import DimensionMismatch
 
 # Pairs encoded per block. A bounded working set keeps the allocator from
@@ -25,11 +26,10 @@ EPS_DEFAULT = 1e-12  # floor on the smallest eigenvalue in a condition number
 def _similarities(model, queries, items, tower_q, tower_i) -> np.ndarray:
     """Row-wise S(f_tower_q(queries[r]), f_tower_i(items[r])) over two aligned
     (n, d) pair arrays, in float64."""
-    qs = np.asarray(queries, dtype=np.float32)
-    its = np.asarray(items, dtype=np.float32)
-    if len(qs) == 0:
+    if len(queries) == 0:
         raise ValueError("empty pair list")
-    if qs.ndim != 2 or qs.shape != its.shape:
+    qs, its = _rows(queries, "queries"), _rows(items, "items")
+    if qs.shape != its.shape:
         raise DimensionMismatch(
             f"query rows {qs.shape} do not line up with item rows {its.shape}")
     out = np.empty(len(qs))
@@ -51,7 +51,7 @@ def anisotropy(model, inputs) -> dict:
     """Condition numbers of the per-tower embedding covariances over a pooled
     input set (`cond_q`, `cond_i`), plus the relative Frobenius gap between
     the two covariances (`cov_fro_gap`)."""
-    x = np.asarray(inputs, dtype=np.float32)
+    x = _rows(inputs, "inputs")
     if x.shape[0] <= model.output_dim:
         raise ValueError("need more inputs than output_dim for a full-rank covariance")
     cov_q = _sample_cov(encoder.encode_batch(model, encoder.QUERY, x))

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_f32, row_normalize
-from .errors import DimensionMismatch
+from .core import _equal, _rows, as_f32, row_normalize
 
 LINEAR = "linear"
 MLP1 = "mlp1"
@@ -37,21 +36,7 @@ class DualTowerModel:
     # Forward-pass counter, one tick per vector encoded through either tower.
     encode_calls: int = field(default=0, compare=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, DualTowerModel):
-            return NotImplemented
-        if (self.arch, self.input_dim, self.output_dim, self.hidden_dim,
-                self.normalize_output) != (other.arch, other.input_dim,
-                                           other.output_dim, other.hidden_dim,
-                                           other.normalize_output):
-            return False
-        for mine, theirs in ((self.params_q, other.params_q),
-                             (self.params_i, other.params_i)):
-            if mine.keys() != theirs.keys():
-                return False
-            if not all(np.array_equal(mine[k], theirs[k]) for k in mine):
-                return False
-        return True
+    __eq__ = _equal
 
     @staticmethod
     def layout(arch: str, input_dim: int, output_dim: int,
@@ -94,12 +79,11 @@ def init(arch: str, input_dim: int, output_dim: int, rng,
                           normalize_output, *towers)
 
 
-def forward(params: dict, arch: str, normalize: bool, x: np.ndarray,
-            with_cache: bool = False):
+def forward(params: dict, arch: str, normalize: bool, x: np.ndarray):
     """Batched tower forward pass in float64. x is (n, input_dim).
 
-    With with_cache=True also returns the intermediates needed by the
-    training module's backward pass.
+    Returns (out, cache): the cache holds the intermediates the training
+    module's backward pass needs.
     """
     x = x.astype(np.float64, copy=False)
     if arch == LINEAR:
@@ -109,26 +93,20 @@ def forward(params: dict, arch: str, normalize: bool, x: np.ndarray,
         pre = x @ params["W1"].astype(np.float64).T + params["b1"].astype(np.float64)
         hidden = np.tanh(pre)
         z = hidden @ params["W2"].astype(np.float64).T + params["b2"].astype(np.float64)
-    if normalize:
-        out = row_normalize(z)
-    else:
-        out = z
-    if with_cache:
-        return out, {"x": x, "hidden": hidden, "z": z}
-    return out
+    out = row_normalize(z) if normalize else z
+    return out, {"x": x, "hidden": hidden, "z": z}
 
 
 def encode_batch(model: DualTowerModel, tower: str, xs) -> np.ndarray:
     """Encode a batch of input vectors (n, input_dim); returns an
     (n, output_dim) float32 array. Rejects NaN/Inf inputs."""
-    xs = as_f32(xs, "input")
-    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
-        raise DimensionMismatch(f"inputs {xs.shape} are not rows of "
-                                f"model input_dim {model.input_dim}")
+    xs = _rows(as_f32(xs, "input"),
+               f"inputs to a model of input_dim {model.input_dim}",
+               model.input_dim)
     if tower not in (QUERY, ITEM):
         raise ValueError(f"unknown tower {tower!r}")
     params = model.params_q if tower == QUERY else model.params_i
-    out = forward(params, model.arch, model.normalize_output, xs)
+    out, _ = forward(params, model.arch, model.normalize_output, xs)
     model.encode_calls += xs.shape[0]
     return out.astype(np.float32)
 

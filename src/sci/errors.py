@@ -19,7 +19,7 @@ class KinkTooClose(SciError):
 
 class Diverged(SciError):
     def __init__(self, epoch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+        super().__init__(f"non-finite loss or parameters at epoch {epoch}")
         self.epoch = epoch
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ivf
-from .core import as_ids, pairwise_sq_dists, top_k
-from .errors import DimensionMismatch, MismatchedCorpora
+from .core import _row_ids, _rows, pairwise_sq_dists, top_k
+from .errors import MismatchedCorpora
 
 METRICS = ("precision", "recall", "mrr", "ndcg")
 
@@ -28,13 +28,9 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = as_ids(ids)
-    X = np.asarray(X, dtype=np.float32)
-    Q = np.asarray(Q, dtype=np.float32)
-    if (X.ndim != 2 or ids.shape != (len(X),) or Q.ndim != 2
-            or Q.shape[1] != X.shape[1]):
-        raise DimensionMismatch(f"ids {ids.shape}, X {X.shape} and queries "
-                                f"{Q.shape} do not line up")
+    X = _rows(X, "item features X")
+    ids = _row_ids(ids, X, "X")
+    Q = _rows(Q, "queries Q", X.shape[1])
     out_ids = np.empty((len(Q), min(k, len(ids))), dtype=np.uint64)
     out_dists = np.empty(out_ids.shape, dtype=np.float64)
     for row, q in enumerate(Q):
@@ -127,11 +123,8 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
     """
     if index_std.n_items != index_ci.n_items or index_std.dim != index_ci.dim:
         raise MismatchedCorpora("indexes do not cover the same corpus")
-    query_ids = as_ids(query_ids)
-    Q = np.asarray(Q, dtype=np.float32)
-    if Q.ndim != 2 or query_ids.shape != (len(Q),):
-        raise DimensionMismatch(f"query_ids {query_ids.shape} do not line up "
-                                f"with the rows of Q {Q.shape}")
+    Q = _rows(Q, "queries Q")
+    query_ids = _row_ids(query_ids, Q, "Q")
     k_max = max(k_list)
     values = {}
     for method, index in (("standard", index_std), ("ci", index_ci)):

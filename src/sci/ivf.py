@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data_io, encoder
-from .clustering import Centroids, assign_batch, kmeans
-from .core import _BLOCK_ELEMS, as_ids, pairwise_sq_dists, top_k
+from .clustering import MAX_ITERS, Centroids, assign_batch, kmeans
+from .core import (_BLOCK_ELEMS, _equal, _row_ids, _rows, pairwise_sq_dists,
+                   top_k)
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
                      TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
@@ -36,15 +37,18 @@ _MAGIC = b"SCIX"
 class IvfIndex:
     variant: str
     mode: str
-    dim: int
-    nlist: int
     centroids: Centroids
     list_ids: list          # per cluster: (len,) uint64 array
     list_payload: list      # per cluster: (len, dim) f32 or (len, m) uint8
-    n_items: int
     codebook: PqCodebook | None = None
     residual_space: str = RESIDUAL_REPR
     mean_reconstruction_error: float | None = field(default=None, compare=False)
+
+    __eq__ = _equal
+
+    dim = property(lambda self: self.centroids.dim)
+    nlist = property(lambda self: self.centroids.k)
+    n_items = property(lambda self: sum(len(ids) for ids in self.list_ids))
 
 
 @dataclass
@@ -66,16 +70,12 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
         raise ValueError(f"unknown residual_space {residual_space!r}")
     if nlist < 1:
         raise ValueError(f"nlist must be >= 1, got {nlist}")
-    ids = as_ids(ids)
-    X = np.asarray(X, dtype=np.float32)
-    if X.ndim != 2 or ids.shape != (len(X),):
-        raise DimensionMismatch(
-            f"ids {ids.shape} do not line up with the rows of X {X.shape}")
+    X = _rows(X, "item features X")
+    ids = _row_ids(ids, X, "X")
     if len(np.unique(ids)) != len(ids):
         raise DuplicateItem("item ids must be unique")
-    n = len(ids)
-    if n < nlist:
-        raise TooFewPoints(f"{n} items for nlist={nlist}")
+    if len(ids) < nlist:
+        raise TooFewPoints(f"{len(ids)} items for nlist={nlist}")
 
     e_repr = encoder.encode_batch(model, encoder.ITEM, X)
     if mode == CI:
@@ -102,9 +102,8 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
     list_ids = [ids[rows] for rows in members]
     list_payload = [payload[rows] for rows in members]
 
-    return IvfIndex(variant, mode, int(e_repr.shape[1]), nlist, centroids,
-                    list_ids, list_payload, n, codebook, residual_space,
-                    mean_recon)
+    return IvfIndex(variant, mode, centroids, list_ids, list_payload, codebook,
+                    residual_space, mean_recon)
 
 
 def search_batch(index: IvfIndex, model, Q, nprobe: int,
@@ -120,11 +119,10 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
     n_probe * ksub) table, and a code c from the list probed p-th looks up
     column p * ksub + c, so each lookup and each sum is the per-list one.
     """
-    if k < 1 or nprobe < 1:
-        raise ValueError("k and nprobe must be >= 1")
-    Q = np.asarray(Q)
-    if Q.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array of queries, got {Q.shape}")
+    for name, value in (("k", k), ("nprobe", nprobe)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    Q = _rows(Q, "queries Q")
     if model.output_dim != index.dim:
         raise DimensionMismatch(f"model output_dim {model.output_dim} != "
                                 f"index dim {index.dim}")
@@ -217,7 +215,14 @@ def load(path) -> IvfIndex:
         raise r.error(10, f"bad PQ sub-quantizer count {pq_m} for a "
                           f"{variant} index")
     centers = r.array("<f4", (nlist, dim))
-    centroids = Centroids(centers, *r.unpack("<dI"))
+    inertia = float(r.array("<f8", ()))
+    if inertia < 0.0:
+        raise r.error(r.offset - 8, f"negative inertia {inertia}")
+    iterations, = r.unpack("<I")
+    if not 1 <= iterations <= MAX_ITERS:
+        raise r.error(r.offset - 4, f"iteration count {iterations} outside "
+                                    f"1..{MAX_ITERS}")
+    centroids = Centroids(centers, inertia, iterations)
     dtype, width = ("<f4", dim) if variant == FLAT else (np.uint8, pq_m)
 
     list_ids, list_payload, id_offsets, payload_offsets = [], [], [], []
@@ -247,10 +252,8 @@ def load(path) -> IvfIndex:
             bad = np.flatnonzero(codes >= ksub)
             if len(bad):
                 raise r.error(offset + int(bad[0]), f"PQ code >= ksub {ksub}")
-        sub_dim = dim // pq_m
-        codebook = PqCodebook(pq_m, sub_dim, ksub,
-                              r.array("<f4", (pq_m, ksub, sub_dim)),
+        codebook = PqCodebook(r.array("<f4", (pq_m, ksub, dim // pq_m)),
                               r.array("<f8", (pq_m,)))
     r.end()
-    return IvfIndex(variant, mode, dim, nlist, centroids, list_ids,
-                    list_payload, n_items, codebook, residual_space)
+    return IvfIndex(variant, mode, centroids, list_ids, list_payload, codebook,
+                    residual_space)

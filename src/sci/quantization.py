@@ -13,29 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import kmeans
-from .core import nearest, pairwise_sq_dists
-from .errors import BadSubspaceSplit, CorruptCode, DimensionMismatch
+from .core import _equal, _rows, nearest, pairwise_sq_dists
+from .errors import BadSubspaceSplit, CorruptCode
 
 
 @dataclass
 class PqCodebook:
-    m: int
-    sub_dim: int
-    ksub: int
     codebooks: np.ndarray   # (m, ksub, sub_dim) float32
     train_mse: np.ndarray   # per-subspace mean squared quantization error at train time
 
-    def __eq__(self, other):
-        if not isinstance(other, PqCodebook):
-            return NotImplemented
-        return ((self.m, self.sub_dim, self.ksub) ==
-                (other.m, other.sub_dim, other.ksub)
-                and np.array_equal(self.codebooks, other.codebooks)
-                and np.array_equal(self.train_mse, other.train_mse))
+    __eq__ = _equal
 
-    @property
-    def dim(self):
-        return self.m * self.sub_dim
+    m = property(lambda self: self.codebooks.shape[0])
+    ksub = property(lambda self: self.codebooks.shape[1])
+    sub_dim = property(lambda self: self.codebooks.shape[2])
+    dim = property(lambda self: self.m * self.sub_dim)
 
 
 def _split(x: np.ndarray, m: int, sub_dim: int) -> np.ndarray:
@@ -43,9 +35,7 @@ def _split(x: np.ndarray, m: int, sub_dim: int) -> np.ndarray:
 
 
 def pq_train(residuals, m: int, ksub: int, rng) -> PqCodebook:
-    x = np.asarray(residuals, dtype=np.float32)
-    if x.ndim != 2:
-        raise DimensionMismatch("expected a 2-D array of residuals")
+    x = _rows(residuals, "residuals")
     dim = x.shape[1]
     if m < 1 or dim % m != 0:
         raise BadSubspaceSplit(f"dim {dim} cannot be split into m={m} "
@@ -61,13 +51,11 @@ def pq_train(residuals, m: int, ksub: int, rng) -> PqCodebook:
         cents = kmeans(subs[:, s, :], ksub, rng=rng)
         codebooks[s] = cents.centers
         train_mse[s] = cents.inertia / x.shape[0]
-    return PqCodebook(m, sub_dim, ksub, codebooks, train_mse)
+    return PqCodebook(codebooks, train_mse)
 
 
 def pq_encode_batch(cb: PqCodebook, r) -> np.ndarray:
-    x = np.asarray(r, dtype=np.float32)
-    if x.ndim != 2 or x.shape[1] != cb.dim:
-        raise DimensionMismatch(f"expected (n, {cb.dim}) residuals")
+    x = _rows(r, "residuals", cb.dim)
     subs = _split(x, cb.m, cb.sub_dim)
     codes = np.empty((x.shape[0], cb.m), dtype=np.uint8)
     for s in range(cb.m):
@@ -77,9 +65,7 @@ def pq_encode_batch(cb: PqCodebook, r) -> np.ndarray:
 
 def pq_reconstruct(cb: PqCodebook, codes) -> np.ndarray:
     """(n, m) codes -> (n, dim) float32 reconstructions."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.ndim != 2 or codes.shape[1] != cb.m:
-        raise DimensionMismatch(f"codes shape {codes.shape} vs m={cb.m}")
+    codes = _rows(codes, "codes", cb.m, np.uint8)
     if np.any(codes >= cb.ksub):
         raise CorruptCode(f"code value >= ksub ({cb.ksub})")
     return cb.codebooks[np.arange(cb.m)[None, :],
@@ -90,9 +76,7 @@ def adc_table(cb: PqCodebook, residuals) -> np.ndarray:
     """Per-subspace squared distances from each residual row (n, dim) to
     every codeword: shape (n, m, ksub), float64, one `pairwise_sq_dists`
     per subspace."""
-    x = np.asarray(residuals, dtype=np.float32)
-    if x.ndim != 2 or x.shape[1] != cb.dim:
-        raise DimensionMismatch(f"expected (n, {cb.dim}) residuals")
+    x = _rows(residuals, "residuals", cb.dim)
     subs = _split(x, cb.m, cb.sub_dim)
     tables = np.empty((x.shape[0], cb.m, cb.ksub))
     for s in range(cb.m):
@@ -105,8 +89,7 @@ def adc_distances_batch(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     distance between that residual and each code's reconstruction (up to
     accumulation order). Codes must be below ksub, as `ivf.load` checks."""
     m = table.shape[0]
-    if codes.ndim != 2 or codes.shape[1] != m:
-        raise DimensionMismatch(f"codes shape {codes.shape} vs table m={m}")
+    codes = _rows(codes, "codes", m, None)
     # one gather from the flat table, where row s starts at s * width
     flat_index = codes + np.arange(m) * table.shape[1]
     return np.take(table.ravel(), flat_index).sum(axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder
-from .core import as_f32, make_rng
+from .core import _equal, _rows, as_f32, make_rng
 from .errors import (DegenerateTriplet, DimensionMismatch, Diverged,
                      KinkTooClose, SciError)
 
@@ -29,15 +29,16 @@ class TripletBatch:
     pos_items: np.ndarray
     neg_items: np.ndarray
 
+    __eq__ = _equal
+
     def __post_init__(self):
-        self.queries = np.asarray(self.queries, dtype=np.float32)
-        self.pos_items = np.asarray(self.pos_items, dtype=np.float32)
-        self.neg_items = np.asarray(self.neg_items, dtype=np.float32)
-        n = self.queries.shape[0]
-        if n < 1:
+        self.queries = _rows(self.queries, "triplet queries")
+        self.pos_items = _rows(self.pos_items, "positive items")
+        self.neg_items = _rows(self.neg_items, "negative items")
+        if len(self.queries) < 1:
             raise ValueError("empty triplet batch")
-        if self.pos_items.shape != self.queries.shape or \
-                self.neg_items.shape != self.queries.shape:
+        if not self.queries.shape == self.pos_items.shape == \
+                self.neg_items.shape:
             raise DimensionMismatch("triplet arrays must share one shape")
 
     def __len__(self):
@@ -82,6 +83,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got "
+                             f"{self.learning_rate}")
 
 
 @dataclass
@@ -91,6 +95,8 @@ class GradReport:
     loss_value: float
     loss_original: float
     loss_swap: float
+
+    __eq__ = _equal
 
 
 def _zeros_like_params(params):
@@ -123,24 +129,21 @@ def _tower_backward(params, arch, normalize, cache, out, d_out):
             "W2": g_w2, "b2": g_b2}
 
 
-def _path(params_a, params_b, arch, normalize, batch, delta, want_grads):
+def _path(params_a, params_b, arch, normalize, batch, delta):
     """One hinge path: queries through tower a, items through tower b.
 
     Returns (loss, hinge_args, grads_a, grads_b). Gradients are of the
     batch-mean hinge w.r.t. the respective tower parameters.
     """
-    a_out, a_cache = encoder.forward(params_a, arch, normalize,
-                                     batch.queries, with_cache=True)
+    a_out, a_cache = encoder.forward(params_a, arch, normalize, batch.queries)
     p_out, p_cache = encoder.forward(params_b, arch, normalize,
-                                     batch.pos_items, with_cache=True)
+                                     batch.pos_items)
     n_out, n_cache = encoder.forward(params_b, arch, normalize,
-                                     batch.neg_items, with_cache=True)
+                                     batch.neg_items)
     s_pos = np.einsum("ij,ij->i", a_out, p_out)
     s_neg = np.einsum("ij,ij->i", a_out, n_out)
     args = delta - s_pos + s_neg
     loss = float(np.mean(np.maximum(args, 0.0)))
-    if not want_grads:
-        return loss, args, None, None
     n = len(batch)
     w = (args > 0).astype(np.float64) / n  # subgradient 0 at the kink
     d_a = w[:, None] * (n_out - p_out)
@@ -153,39 +156,29 @@ def _path(params_a, params_b, arch, normalize, batch, delta, want_grads):
     return loss, args, grads_a, grads_b
 
 
-def _check_batch_dims(model, batch):
-    if batch.queries.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"batch dim {batch.queries.shape[1]} != model input_dim {model.input_dim}")
-
-
-def _combined(params_q, params_i, arch, normalize, batch, cfg, want_grads):
+def _combined(params_q, params_i, arch, normalize, batch, cfg):
     """The direct path, then the swap path when lambda > 0 (no forward passes
     otherwise), weighted by `cfg.weights()`.
 
-    Returns (report, hinge args per path run); the report's gradients are
-    None unless want_grads.
+    Returns (report, hinge args per path run).
     """
     w_o, w_s = cfg.weights()
     l_orig, args_o, g_q_o, g_i_o = _path(params_q, params_i, arch, normalize,
-                                         batch, cfg.margin_delta, want_grads)
+                                         batch, cfg.margin_delta)
     args = [args_o]
-    grad_q = grad_i = None
-    if want_grads:
-        grad_q = _zeros_like_params(params_q)
-        grad_i = _zeros_like_params(params_i)
-        _accumulate(grad_q, g_q_o, w_o)
-        _accumulate(grad_i, g_i_o, w_o)
+    grad_q = _zeros_like_params(params_q)
+    grad_i = _zeros_like_params(params_i)
+    _accumulate(grad_q, g_q_o, w_o)
+    _accumulate(grad_i, g_i_o, w_o)
 
     l_swap = 0.0
     if cfg.lambda_weight > 0.0:
         l_swap, args_s, g_i_s, g_q_s = _path(params_i, params_q, arch,
                                              normalize, batch,
-                                             cfg.margin_delta, want_grads)
+                                             cfg.margin_delta)
         args.append(args_s)
-        if want_grads:
-            _accumulate(grad_i, g_i_s, w_s)
-            _accumulate(grad_q, g_q_s, w_s)
+        _accumulate(grad_i, g_i_s, w_s)
+        _accumulate(grad_q, g_q_s, w_s)
 
     total = w_o * l_orig + w_s * l_swap
     return GradReport(grad_q, grad_i, total, l_orig, l_swap), args
@@ -194,9 +187,9 @@ def _combined(params_q, params_i, arch, normalize, batch, cfg, want_grads):
 def grad(model, batch: TripletBatch, cfg: LossConfig) -> GradReport:
     """Analytic gradient of the combined loss w.r.t. both towers, with the
     direct, swap and combined loss values."""
-    _check_batch_dims(model, batch)
+    _rows(batch.queries, "triplet rows", model.input_dim)
     report, args = _combined(model.params_q, model.params_i, model.arch,
-                             model.normalize_output, batch, cfg, True)
+                             model.normalize_output, batch, cfg)
     model.encode_calls += 3 * len(batch) * len(args)
     return report
 
@@ -209,17 +202,16 @@ def grad_check(model, batch: TripletBatch, cfg: LossConfig, h: float) -> float:
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    _check_batch_dims(model, batch)
+    report = grad(model, batch, cfg)
     arch, norm = model.arch, model.normalize_output
 
     def loss(params_q, params_i):
-        return _combined(params_q, params_i, arch, norm, batch, cfg, False)
+        return _combined(params_q, params_i, arch, norm, batch, cfg)
 
     _, args = loss(model.params_q, model.params_i)
     if min(float(np.min(np.abs(a))) for a in args) <= 10.0 * h:
         raise KinkTooClose("a hinge argument lies within 10h of 0")
 
-    report = grad(model, batch, cfg)
     base_q = {k: v.astype(np.float64) for k, v in model.params_q.items()}
     base_i = {k: v.astype(np.float64) for k, v in model.params_i.items()}
     max_err = 0.0
@@ -241,16 +233,21 @@ def grad_check(model, batch: TripletBatch, cfg: LossConfig, h: float) -> float:
     return max_err
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(model, dataset, cfg: TrainConfig):
     """Plain SGD over shuffled batches; returns (model, per-epoch history).
 
     History rows are (epoch, loss_original, loss_swap, loss_total) means over
-    the epoch's batches. Deterministic given the seed.
+    the epoch's batches. Deterministic given the seed. Raises Diverged when a
+    batch's loss, or a parameter at the end of an epoch, is not finite; those
+    checks report what numpy's (silenced) overflow and invalid-value warnings
+    would.
     """
     if not dataset:
         raise ValueError("empty dataset")
     rng = make_rng(cfg.seed)
     lr = cfg.learning_rate
+    towers = (model.params_q, model.params_i)
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
@@ -259,12 +256,13 @@ def train(model, dataset, cfg: TrainConfig):
             report = grad(model, dataset[b_idx], cfg.loss)
             if not np.isfinite(report.loss_value):
                 raise Diverged(epoch)
-            for params, grads in ((model.params_q, report.grad_q),
-                                  (model.params_i, report.grad_i)):
+            for params, grads in zip(towers, (report.grad_q, report.grad_i)):
                 for name in params:
                     updated = params[name].astype(np.float64) - lr * grads[name]
                     params[name] = updated.astype(np.float32)
             sums += (report.loss_original, report.loss_swap, report.loss_value)
+        if not all(np.isfinite(p).all() for t in towers for p in t.values()):
+            raise Diverged(epoch)
         means = sums / len(dataset)
         history.append((epoch, float(means[0]), float(means[1]), float(means[2])))
     return model, history

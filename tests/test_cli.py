@@ -268,6 +268,36 @@ class TestErrors:
         assert err == "sci: error: epochs must be >= 0, got -1\n"
         assert not (tmp_path / "m.scim").exists()
 
+    @pytest.mark.parametrize("flag", ["--nprobe", "--k"])
+    def test_search_flag_below_one_names_the_flag(self, pipeline, tmp_path,
+                                                  capsys, flag):
+        argv = ["search", "--index", pipeline["index"], "--model",
+                pipeline["model"], "--queries",
+                os.path.join(pipeline["data"], "queries.sciv"), flag, "0",
+                "--out", str(tmp_path / "run.tsv")]
+        capsys.readouterr()
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"sci: error: {flag[2:]} must be >= 1, got 0\n"
+        assert not (tmp_path / "run.tsv").exists()
+
+    @pytest.mark.parametrize("lr, message", [
+        ("nan", "learning_rate must be finite, got nan"),
+        ("inf", "learning_rate must be finite, got inf"),
+        ("1e300", "non-finite loss or parameters at epoch 0")])
+    def test_train_never_writes_a_model_it_cannot_load(self, tmp_path, capsys,
+                                                       lr, message):
+        # One batch of 40 triplets, so the last update is the only one.
+        data = str(tmp_path / "d")
+        run_ok(["gen-data", "--items", "40", "--queries", "10", "--dim", "4",
+                "--clusters", "2", "--misalign", "0.5", "--seed", "1",
+                "--out", data])
+        capsys.readouterr()
+        assert cli.run(["train", "--data", data, "--epochs", "1", "--lr", lr,
+                        "--out", str(tmp_path / "m.scim")]) == 1
+        assert capsys.readouterr().err == f"sci: error: {message}\n"
+        assert not (tmp_path / "m.scim").exists()
+
     def test_corrupt_index_is_exit_1(self, pipeline, tmp_path):
         bad = tmp_path / "bad.scix"
         bad.write_bytes(b"JUNKJUNK")

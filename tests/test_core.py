@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sci import core, evaluation, ivf
-from sci.errors import ZeroNorm
+from sci import (clustering, core, diagnostics, encoder, evaluation, ivf,
+                 quantization, training)
+from sci.errors import DimensionMismatch, ZeroNorm
 
 from conftest import linear_model
 
@@ -386,6 +387,20 @@ def test_difference_tensors_live_only_in_the_kernel():
     assert found == {("core.py", "pairwise_sq_dists")}
 
 
+def test_array_shapes_are_read_only_in_the_shape_rule():
+    # Every array input goes through core._rows; top_k reads .ndim to tell a
+    # vector from a matrix, and write_vectors keeps its own ValueError.
+    found = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "ndim"
+                    for node in ast.walk(fn)):
+                found.add((path.name, fn.name))
+    assert found == {("core.py", "_rows"), ("core.py", "top_k"),
+                     ("data_io.py", "write_vectors")}
+
+
 def _build(ids, x):
     return ivf.build(linear_model(4, 4), ids, x, ivf.STANDARD, ivf.FLAT, 2,
                      core.make_rng(0))
@@ -418,3 +433,103 @@ class TestAsIds:
         x = rng.normal(size=(40, 4)).astype(np.float32)
         with pytest.raises(ValueError, match="ids must be"):
             call(ids, x)
+
+
+def _rows_sites():
+    """(name, call, width): call(x) passes x to one entry point as the array
+    under test, with every other argument valid; width is the number of
+    columns that entry point expects of x, or None when any is fine."""
+    m = linear_model(4, 4)
+    rng = core.make_rng(3)
+    items = rng.normal(size=(40, 4)).astype(np.float32)
+    cents = clustering.kmeans(items, 2, core.make_rng(0))
+    cb = quantization.pq_train(items, 2, 4, core.make_rng(0))
+    table = quantization.adc_table(cb, items[:1])[0]
+    index = ivf.build(m, np.arange(40), items, ivf.CI, ivf.FLAT, 2,
+                      core.make_rng(0))
+    ids = lambda x: np.arange(len(x))
+    return [
+        ("kmeans", lambda x: clustering.kmeans(x, 2, core.make_rng(0)), None),
+        ("assign_batch", lambda x: clustering.assign_batch(cents, x), 4),
+        ("pq_train", lambda x: quantization.pq_train(x, 1, 2,
+                                                     core.make_rng(0)), None),
+        ("pq_encode_batch", lambda x: quantization.pq_encode_batch(cb, x), 4),
+        ("pq_reconstruct",
+         lambda x: quantization.pq_reconstruct(cb, x.astype(np.uint8)), 2),
+        ("adc_table", lambda x: quantization.adc_table(cb, x), 4),
+        ("adc_distances_batch",
+         lambda x: quantization.adc_distances_batch(table, x.astype(int)), 2),
+        ("build", lambda x: ivf.build(m, ids(x), x, ivf.CI, ivf.FLAT, 1,
+                                      core.make_rng(0)), 4),
+        ("search_batch", lambda x: ivf.search_batch(index, m, x, 2, 3), 4),
+        ("brute_force_items",
+         lambda x: evaluation.brute_force_search(ids(x), x, items[:2], 3), 4),
+        ("brute_force_queries",
+         lambda x: evaluation.brute_force_search(ids(items), items, x, 3), 4),
+        ("nprobe_sweep", lambda x: evaluation.nprobe_sweep(
+            index, index, m, ids(x), x, {}, [1], [1]), 4),
+        ("encode_batch", lambda x: encoder.encode_batch(m, encoder.QUERY, x),
+         4),
+        ("diagnose", lambda x: diagnostics.diagnose(m, x, x, items), 4),
+        ("triplet_grad", lambda x: training.grad(
+            m, training.TripletBatch(x, x, x), training.LossConfig()), 4),
+    ]
+
+
+# Every (entry point, malformed shape) pair; a wrong width is only malformed
+# where a width is expected.
+_ROWS_CASES = [(name, shape) for name, _, width in _rows_sites()
+               for shape in ("1-D", "3-D", "zero-width", "wrong-width")
+               if width is not None or shape != "wrong-width"]
+
+
+class TestRows:
+    def test_rows_pass_through_without_a_copy(self):
+        x = np.ones((3, 2), dtype=np.float32)
+        assert core._rows(x, "x", 2) is x
+        codes = np.ones((3, 2), dtype=np.int64)
+        assert core._rows(codes, "codes", 2, None) is codes
+
+    def test_message_names_the_input_shape_and_width(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"residuals have shape \(3, 5\), not rows "
+                                 r"of width 4"):
+            core._rows(np.ones((3, 5)), "residuals", 4)
+
+    @pytest.mark.parametrize("name, shape", _ROWS_CASES,
+                             ids=[f"{n}-{s}" for n, s in _ROWS_CASES])
+    def test_every_entry_point_refuses_malformed_rows(self, name, shape):
+        call, width = {n: (c, w) for n, c, w in _rows_sites()}[name]
+        w = width or 4
+        x = {"1-D": np.ones(w), "3-D": np.ones((5, 2, w)),
+             "zero-width": np.ones((5, 0)),
+             "wrong-width": np.ones((5, w + 1))}[shape]
+        with pytest.raises(DimensionMismatch):
+            call(x.astype(np.float32))
+
+
+class TestEqual:
+    def test_arrays_compare_by_value_and_uncompared_fields_are_skipped(self):
+        a = clustering.Centroids(np.ones((2, 3), np.float32), 1.5, 4, [9.0])
+        b = clustering.Centroids(np.ones((2, 3), np.float32), 1.5, 4, [])
+        assert a == b and not a != b
+        b.centers[1, 2] = 0.5
+        assert a != b
+
+    @pytest.mark.parametrize("a, b, equal", [
+        ({"W": np.ones(2)}, {"W": np.ones(2)}, True),
+        ({"W": np.ones(2)}, {"V": np.ones(2)}, False),
+        ([np.ones(2), np.zeros(1)], [np.ones(2), np.zeros(1)], True),
+        ([np.ones(2)], [np.ones(2), np.ones(2)], False),
+        ((1, "a"), (1, "b"), False),
+        (None, None, True),
+        (np.ones(2), None, False),
+    ])
+    def test_members(self, a, b, equal):
+        assert core._equal(a, b) is equal
+
+    def test_a_record_never_equals_another_type(self):
+        cb = quantization.PqCodebook(np.zeros((1, 2, 2), np.float32),
+                                     np.zeros(1))
+        assert cb != None
+        assert cb != cb.codebooks

@@ -41,10 +41,8 @@ class TestGenSynthetic:
     def test_deterministic(self):
         spec = data_io.standard_benchmark(3)
         a = data_io.gen_synthetic(spec)
-        b = data_io.gen_synthetic(spec)
-        assert np.array_equal(a.item_features, b.item_features)
-        assert np.array_equal(a.query_features, b.query_features)
-        assert a.qrels == b.qrels
+        assert data_io.gen_synthetic(spec) == a
+        assert data_io.gen_synthetic(data_io.standard_benchmark(4)) != a
 
     def test_misalignment_lowers_matched_cosine(self):
         def mean_matched_cos(angle):

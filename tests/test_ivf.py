@@ -342,15 +342,7 @@ class TestSerialization:
                           make_rng(3))
         path = tmp_path / "index.scix"
         ivf.save(index, path)
-        loaded = ivf.load(path)
-        assert loaded.variant == index.variant
-        assert loaded.mode == index.mode
-        assert loaded.centroids == index.centroids or np.array_equal(
-            loaded.centroids.centers, index.centroids.centers)
-        for a, b in zip(loaded.list_ids, index.list_ids):
-            assert np.array_equal(a, b)
-        for a, b in zip(loaded.list_payload, index.list_payload):
-            assert np.array_equal(a, b)
+        assert ivf.load(path) == index
 
     def test_pq_round_trip(self, rng, tmp_path):
         m = linear_model(8, 8, seed=2)
@@ -361,12 +353,34 @@ class TestSerialization:
         ivf.save(index, path)
         loaded = ivf.load(path)
         assert loaded.residual_space == ivf.RESIDUAL_STRUCT
-        assert np.array_equal(loaded.codebook.codebooks,
-                              index.codebook.codebooks)
-        assert np.array_equal(loaded.codebook.train_mse,
-                              index.codebook.train_mse)
-        for a, b in zip(loaded.list_payload, index.list_payload):
-            assert np.array_equal(a, b)
+        assert loaded == index
+
+    @staticmethod
+    def _build_80(variant):
+        m = linear_model(8, 8, seed=2)
+        return ivf.build(m, *make_items(make_rng(4), 80, 8), ivf.CI, variant,
+                         4, make_rng(3), pq_m=2, pq_ksub=8)
+
+    @pytest.mark.parametrize("variant", [ivf.FLAT, ivf.PQ])
+    def test_equal_indexes_compare_equal(self, tmp_path, variant):
+        index = self._build_80(variant)
+        assert self._build_80(variant) == index
+        ivf.save(index, tmp_path / "index.scix")
+        assert ivf.load(tmp_path / "index.scix") == index
+
+    @pytest.mark.parametrize("variant, part", [
+        (ivf.FLAT, "id"), (ivf.FLAT, "payload"), (ivf.FLAT, "centroid"),
+        (ivf.PQ, "id"), (ivf.PQ, "payload"), (ivf.PQ, "centroid"),
+        (ivf.PQ, "codeword")])
+    def test_one_changed_value_makes_indexes_unequal(self, variant, part):
+        index, other = self._build_80(variant), self._build_80(variant)
+        array, at = {"id": (lambda i: i.list_ids[0], 0),
+                     "payload": (lambda i: i.list_payload[0], (0, 0)),
+                     "centroid": (lambda i: i.centroids.centers, (1, 2)),
+                     "codeword": (lambda i: i.codebook.codebooks, (1, 3, 0)),
+                     }[part]
+        array(other)[at] += 1
+        assert other != index and index != other
 
     def test_search_identical_after_round_trip(self, rng, tmp_path):
         m = linear_model(5, 5, seed=1)
@@ -414,11 +428,12 @@ class TestSerialization:
 
     @staticmethod
     def _flat_file(dim, nlist, lists):
-        """A hand-made flat .scix with zero-valued centroids and payloads."""
+        """A hand-made flat .scix with zero-valued centroids and payloads,
+        inertia 0 after one k-means iteration."""
         n_items = sum(len(ids) for ids in lists)
         parts = [b"SCIX", struct.pack("<I", 1), bytes([0, 1, 0, 0]),
                  struct.pack("<IIQ", dim, nlist, n_items),
-                 b"\x00" * (4 * nlist * dim), struct.pack("<dI", 0.0, 0)]
+                 b"\x00" * (4 * nlist * dim), struct.pack("<dI", 0.0, 1)]
         for ids in lists:
             parts.append(struct.pack("<Q", len(ids)))
             parts.append(np.asarray(ids, dtype="<u8").tobytes())
@@ -466,6 +481,28 @@ class TestSerialization:
         offset += 8 + 8 * row
         with pytest.raises(CorruptIndex,
                            match=f"item id {lists[j][row]} repeated") as exc:
+            ivf.load(path)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("<d", float("nan"), "non-finite"),
+        ("<d", -5.0, "negative inertia"),
+        ("<I", 0, "iteration count 0 outside 1..25"),
+        ("<I", clustering.MAX_ITERS + 1, "iteration count 26 outside"),
+        ("<I", 4000000000, "iteration count 4000000000 outside")])
+    def test_centroid_block_build_never_writes(self, rng, tmp_path, field,
+                                               value, message):
+        m = linear_model(4, 4, seed=2)
+        index = ivf.build(m, *make_items(rng, 40, 4), ivf.CI, ivf.FLAT, 2,
+                          make_rng(3))
+        path = tmp_path / "index.scix"
+        ivf.save(index, path)
+        # header 28, centroids 2 x 4 f32, then inertia f64, iterations u32
+        offset = 28 + 4 * 2 * 4 + (0 if field == "<d" else 8)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + struct.calcsize(field)] = struct.pack(field, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptIndex, match=message) as exc:
             ivf.load(path)
         assert exc.value.offset == offset
 

@@ -73,7 +73,7 @@ class TestPqTrain:
 class TestPqEncode:
     def test_codeword_exact_vector(self, rng):
         residuals, words = exact_cover_residuals(rng, m=4, ksub=8, sub_dim=2)
-        cb = pq.PqCodebook(4, 2, 8, words, np.zeros(4))
+        cb = pq.PqCodebook(words, np.zeros(4))
         target = np.concatenate([words[0, 3], words[1, 7], words[2, 0],
                                  words[3, 1]])
         assert np.array_equal(pq.pq_encode_batch(cb, [target]), [[3, 7, 0, 1]])
@@ -81,7 +81,7 @@ class TestPqEncode:
     def test_zero_vector_zero_code(self):
         words = np.ones((2, 4, 3), dtype=np.float32)
         words[:, 0, :] = 0.0
-        cb = pq.PqCodebook(2, 3, 4, words, np.zeros(2))
+        cb = pq.PqCodebook(words, np.zeros(2))
         assert np.array_equal(
             pq.pq_encode_batch(cb, np.zeros((1, 6), dtype=np.float32)), [[0, 0]])
 

@@ -3,7 +3,8 @@ import pytest
 
 from sci import encoder, training
 from sci.core import make_rng
-from sci.errors import (DegenerateTriplet, DimensionMismatch, KinkTooClose)
+from sci.errors import (DegenerateTriplet, DimensionMismatch, Diverged,
+                        KinkTooClose)
 
 from conftest import clone_model, linear_model, mlp_model, random_batch
 
@@ -234,6 +235,21 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"epochs .* got {epochs}"):
             training.TrainConfig(epochs, 0.05, 0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"),
+                                    float("-inf")])
+    def test_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError,
+                           match=f"learning_rate must be finite, got {lr}"):
+            training.TrainConfig(1, lr, 0)
+
+    def test_last_update_of_an_epoch_is_checked(self, rng):
+        # One batch per epoch: no later loss would see the overflowed update.
+        m = linear_model(4, 4, seed=3)
+        with pytest.raises(Diverged) as exc:
+            training.train(m, self._dataset(rng, n_batches=1),
+                           training.TrainConfig(2, 1e300, 0))
+        assert exc.value.epoch == 0
+
     def test_history_shape(self, rng):
         cfg = training.TrainConfig(4, 0.01, 0)
         _, history = training.train(linear_model(4, 4), self._dataset(rng), cfg)
@@ -317,6 +333,19 @@ class TestTripletBatch:
         with pytest.raises(DimensionMismatch):
             training.TripletBatch(np.zeros((2, 3)), np.zeros((2, 3)),
                                   np.zeros((3, 3)))
+
+    def test_records_compare_by_value(self, rng):
+        m = linear_model(4, 4)
+        cfg = training.LossConfig()
+        a = random_batch(rng, 8, 4)
+        b = training.TripletBatch(a.queries.copy(), a.pos_items.copy(),
+                                  a.neg_items.copy())
+        assert a == b
+        ga, gb = training.grad(m, a, cfg), training.grad(m, b, cfg)
+        assert ga == gb
+        b.neg_items[3, 1] += 1.0
+        gb.grad_i["W"][0, 0] += 1.0
+        assert a != b and ga != gb
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
