@@ -9,9 +9,11 @@ assignment, PQ encode, coarse probe, list scan and exact search selects through
 `nearest` (ties to the lowest index) or `top_k` (ties by ascending key).
 `top_k` of one 1-D array sorts only the entries at or below its k-th smallest
 value, found by one partition; rows of a matrix take one full sort.
-`nearest` scores with one matrix product per block of rows and returns only
-distances recomputed with the exact arithmetic, so its outputs are those of an
-argmin over `pairwise_sq_dists`, bit for bit.
+`nearest` scores each block of _BLOCK_ELEMS // max(k, d) rows with one
+centre-major matrix product, so per-row reductions run down contiguous rows;
+an exact 0/1 count/index product names each row's single kept centre, only
+tied rows are reranked, and every distance is recomputed with the exact
+arithmetic: its outputs are those of an argmin over `pairwise_sq_dists`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroNorm
 
-# Float64 elements in one difference tensor of `pairwise_sq_dists` or one
-# score block of `nearest` (512 KiB), or one row of x against all of c when
-# that alone is larger.
+# Float64 elements in one difference tensor of `pairwise_sq_dists`, or one
+# score block or final gather of `nearest` (512 KiB), or one row of x against
+# all of c when that alone is larger.
 _BLOCK_ELEMS = 1 << 16
 # Unit roundoff of float64, and its smallest subnormal (the absolute error
 # bound of a product that underflows is half of it).
@@ -141,9 +143,10 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Bitwise equal to an argmin over `pairwise_sq_dists(x, c)` and the gathered
     distance, for any BLAS summation order or thread count:
 
-    - Score. Per block of at most max(_BLOCK_ELEMS, k) scores, one matrix
-      product gives s_j = ‖c_j‖² - 2 x·c_j, which is D_j - ‖x‖² for the
-      exact distance D_j = ‖x - c_j‖².
+    - Score. Per block of rows, one matrix product gives the centre-major
+      scores s_j = ‖c_j‖² - 2 x·c_j, shape (k, rows), which is D_j - ‖x‖²
+      for the exact distance D_j = ‖x - c_j‖². Every per-row reduction then
+      runs down axis 0, over contiguous rows.
     - Bound (Higham, Accuracy and Stability of Numerical Algorithms, §3.1;
       u = 2^-53, γ_m = m·u / (1 - m·u), Q = (‖x‖ + max_j ‖c_j‖)²). A dot
       product of length d in any order is off by at most γ_d Σ|x_i||c_ji|
@@ -157,47 +160,65 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       roundings of Q̂, of the margin and of ŝ_w + margin (together below
       (1 + O(d²u)) u·Q). Products that underflow add at most _TINY / 2 each,
       4d·_TINY over the four values compared, covered by 8(d + 1)·_TINY.
-      Every exact minimiser j therefore has ŝ_j ≤ min ŝ + margin.
-    - Rerank. The kept (row, centre) pairs are recomputed with `_sum_sq` on
-      aligned gathers x[r] - c[j], and the lowest index among the exact
-      minima wins. NaN never compares greater, so a non-finite score or
-      margin keeps the whole row and the rerank decides it as argmin would.
+      Every exact minimiser j therefore has ŝ_j ≤ min ŝ + margin, and is
+      kept. NaN never compares greater, so a non-finite score or margin
+      keeps the whole row.
+    - Count and index. One product of the 0/1 matrix of dropped centres
+      with the rows [1, ..., 1] and [0, 1, ..., k - 1] gives each row's
+      dropped count and the sum of their indices; subtracted from k and
+      k(k - 1)/2 they are the kept count and, when that is 1, the kept
+      centre itself. The product is exact in any summation order: every
+      term is 0 or an integer below k, so every partial sum is an integer
+      of at most k(k - 1)/2, below 2^53 for any k under 2^26.
+    - Rerank. Only rows that keep more than one centre (ties, duplicate
+      centres, NaN) recompute their kept pairs with `_sum_sq` on aligned
+      gathers x[r] - c[j]; the lowest index among the exact minima wins, as
+      in argmin. Every row's distance is then `_sum_sq(x - c[best])`, the
+      same per-pair arithmetic.
 
-    Rows of x are promoted to float64 one block at a time, so x is never
-    copied whole.
+    A block holds _BLOCK_ELEMS // max(k, d) rows (at least one), so the
+    score block and the final gather each hold at most max(_BLOCK_ELEMS, k,
+    d) float64, and rows of x are promoted to float64 one block at a time:
+    x is never copied whole.
     """
     c = c.astype(np.float64, copy=False)
     n, d = x.shape
     k = c.shape[0]
-    c_sq = _sum_sq(c)
+    c_sq = _sum_sq(c)[:, None]
     c_max = np.sqrt(c_sq.max())
-    # Scaling by -2 is exact, so x @ c2.T carries the error bound of x·c.
+    # Scaling by -2 is exact, so c2 @ x.T carries the error bound of x·c.
     c2 = -2.0 * c
     gamma = (d + 4) * _U / (1.0 - (d + 4) * _U)
-    step = max(1, _BLOCK_ELEMS // max(1, k))
+    # Count and index sum of the dropped centres, and of all k centres.
+    count_index = np.vstack((np.ones(k), np.arange(k)))
+    total = np.array([[k], [k * (k - 1) // 2]])
+    step = max(1, _BLOCK_ELEMS // max(1, k, d))
     pair_step = max(1, _BLOCK_ELEMS // max(1, d))
     idx = np.empty(n, dtype=np.intp)
     dist = np.empty(n)
     for start in range(0, n, step):
         xb = x[start:start + step].astype(np.float64, copy=False)
-        s = xb @ c2.T
+        s = c2 @ xb.T
         s += c_sq
         margin = (4.0 * gamma * (np.sqrt(_sum_sq(xb)) + c_max) ** 2
                   + 8.0 * (d + 1) * _TINY)
-        rb = np.arange(xb.shape[0])
-        lim = s[rb, np.argmin(s, axis=1)] + margin
-        rows, cols = np.divmod(np.flatnonzero(~(s > lim[:, None])), k)
-        exact = np.empty(rows.size)
-        # All pairs of a block can tie (duplicate centres), so the gathers are
-        # cut to one difference tensor's worth of elements at a time.
-        for p in range(0, rows.size, pair_step):
-            r, j = rows[p:p + pair_step], cols[p:p + pair_step]
-            _sum_sq(xb[r] - c[j], out=exact[p:p + pair_step])
-        s.fill(np.inf)
-        s[rows, cols] = exact
-        best = np.argmin(s, axis=1)
+        lim = s.min(axis=0) + margin
+        # In place: 1.0 marks a dropped centre, 0.0 a kept one.
+        np.greater(s, lim, out=s)
+        count, best = total - count_index @ s
+        best = best.astype(np.intp)
+        ties = np.flatnonzero(count != 1)
+        if ties.size:
+            cols, rows = np.nonzero(s[:, ties] == 0.0)
+            exact = np.full((ties.size, k), np.inf)
+            # All pairs of a block can tie (duplicate centres), so the gathers
+            # are cut to one difference tensor's worth of elements at a time.
+            for p in range(0, rows.size, pair_step):
+                r, j = rows[p:p + pair_step], cols[p:p + pair_step]
+                exact[r, j] = _sum_sq(xb[ties[r]] - c[j])
+            best[ties] = np.argmin(exact, axis=1)
         idx[start:start + step] = best
-        dist[start:start + step] = s[rb, best]
+        _sum_sq(xb - c[best], out=dist[start:start + step])
     return idx, dist
 
 

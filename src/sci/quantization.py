@@ -64,12 +64,16 @@ def pq_encode_batch(cb: PqCodebook, r) -> np.ndarray:
 
 
 def pq_reconstruct(cb: PqCodebook, codes) -> np.ndarray:
-    """(n, m) codes -> (n, dim) float32 reconstructions."""
-    codes = _rows(codes, "codes", cb.m, np.uint8)
-    if np.any(codes >= cb.ksub):
-        raise CorruptCode(f"code value >= ksub ({cb.ksub})")
+    """(n, m) integer codes, each in [0, ksub) -> (n, dim) float32
+    reconstructions. Codes are checked before any cast, so none wraps or
+    truncates into range."""
+    codes = _rows(codes, "codes", cb.m, None)
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise CorruptCode(f"codes must be integers, got dtype {codes.dtype}")
+    if np.any((codes < 0) | (codes >= cb.ksub)):
+        raise CorruptCode(f"code values must lie in [0, {cb.ksub})")
     return cb.codebooks[np.arange(cb.m)[None, :],
-                        codes.astype(np.intp)].reshape(codes.shape[0], cb.dim)
+                        codes].reshape(codes.shape[0], cb.dim)
 
 
 def adc_table(cb: PqCodebook, residuals) -> np.ndarray:

@@ -421,6 +421,16 @@ THREAD_VARS = ("SCI_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                "MKL_NUM_THREADS")
 
 
+def _child_env(preset):
+    """This process's environment without its thread variables, plus preset,
+    with this checkout's sci importable."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def _blas_threads_at_numpy_import(preset):
     """OPENBLAS_NUM_THREADS at the moment numpy is first imported, which is
     when the BLAS library reads it, in a child that imports sci.cli with the
@@ -439,12 +449,9 @@ def _blas_threads_at_numpy_import(preset):
         import sci.cli
         print(seen[0])
     """)
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(preset)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=_child_env(preset), capture_output=True,
+                         text=True, check=True)
     return out.stdout.strip()
 
 
@@ -459,6 +466,29 @@ class TestThreadCap:
     def test_preset_value_is_capped(self, cap, preset, want):
         assert _blas_threads_at_numpy_import(
             {"SCI_THREADS": cap, "OPENBLAS_NUM_THREADS": preset}) == want
+
+    def test_nearest_does_not_depend_on_the_thread_count(self):
+        # 8192 x 64 rows against 256 centres: each block's matrix product is
+        # large enough for OpenBLAS to split. Centre 9 duplicates centre 4 and
+        # the first 500 rows sit near it, so the tie rerank runs too.
+        script = textwrap.dedent("""
+            import sys
+            from sci import core
+            rng = core.make_rng(6)
+            x = rng.normal(size=(8192, 64))
+            c = rng.normal(size=(256, 64))
+            c[9] = c[4]
+            x[:500] = c[4] + 1e-3 * rng.normal(size=(500, 64))
+            idx, dist = core.nearest(x, c)
+            sys.stdout.buffer.write(idx.astype("<i8").tobytes() + dist.tobytes())
+        """)
+        out = [subprocess.run([sys.executable, "-c", script],
+                              env=_child_env({"SCI_THREADS": threads}),
+                              capture_output=True, check=True).stdout
+               for threads in ("1", "2")]
+        idx = np.frombuffer(out[0][:8192 * 8], dtype="<i8")
+        assert len(out[0]) == 8192 * 16 and (idx[:500] == 4).all()
+        assert out[0] == out[1]
 
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
         # Selection scores with BLAS, whose rounding may change with the
@@ -497,12 +527,9 @@ class TestThreadCap:
                     if cli.run(argv) != 0:
                         sys.exit(f"failed: {argv}")
             """)
-            env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-            env["SCI_THREADS"] = threads
-            src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
             subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                           env=env, capture_output=True, check=True)
+                           env=_child_env({"SCI_THREADS": threads}),
+                           capture_output=True, check=True)
             return {p.relative_to(root): p.read_bytes()
                     for p in sorted(root.rglob("*")) if p.is_file()}
 

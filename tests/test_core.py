@@ -263,6 +263,55 @@ class TestNearest:
             assert np.array_equal(dist, want_dist)
 
     @staticmethod
+    def _assert_oracle(x, c, dtypes=(np.float64, np.float32)):
+        for dtype in dtypes:
+            a, b = x.astype(dtype), c.astype(dtype)
+            idx, dist = core.nearest(a, b)
+            want_idx, want_dist = _argmin_oracle(a, b)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(dist, want_dist, equal_nan=True)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(k=st.sampled_from([3, 16, 300]), d=st.sampled_from([1, 16, 257]),
+           extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    @example(k=16, d=16, extra=1, seed=0)
+    @example(k=16, d=257, extra=1, seed=0)
+    def test_ties_at_a_block_edge(self, k, d, extra, seed):
+        # A block holds _BLOCK_ELEMS // max(k, d) rows. The last row of the
+        # first block and the first row of the second sit exactly halfway
+        # between centres 1 and 2, on a grid where both distances are exact.
+        edge = core._BLOCK_ELEMS // max(k, d)
+        rng = core.make_rng(seed)
+        x = rng.normal(size=(edge + extra, d))
+        c = 10.0 + rng.normal(size=(k, d))
+        x[edge - 1:edge + 1] = np.round(4.0 * rng.normal(size=d)) / 4.0
+        c[1], c[2] = x[edge - 1] + 0.125, x[edge - 1] - 0.125
+        tied = core.pairwise_sq_dists(x[edge - 1:edge + 1], c)
+        assert (tied[:, 1] == tied[:, 2]).all()
+        assert (tied.argmin(axis=1) == 1).all()
+        self._assert_oracle(x, c)
+
+    def test_single_and_tied_rows_in_one_block(self, rng):
+        # Odd rows tie between the duplicate centres 2 and 5, even rows keep
+        # one centre; a NaN row keeps every centre, and so does a 1e200 row,
+        # whose margin and exact distances overflow to inf (float64 only:
+        # 1e200 has no float32 value).
+        c = rng.normal(size=(8, 4))
+        c[5] = c[2]
+        x = rng.normal(size=(40, 4))
+        x[1::2] = c[2] + 1e-3 * rng.normal(size=(20, 4))
+        x[10] = np.nan
+        x[12] = 1e200
+        exact = core.pairwise_sq_dists(x, c)
+        assert np.array_equal(exact[1::2, 2], exact[1::2, 5])
+        assert np.isinf(exact[12]).all()
+        self._assert_oracle(x, c, (np.float64,))
+        # A NaN centre makes every margin NaN, so every row keeps every
+        # centre and, as in argmin, the first NaN distance wins.
+        c[3] = np.nan
+        self._assert_oracle(x, c, (np.float64,))
+
+    @staticmethod
     def _nearest_peak(x, c):
         tracemalloc.start()
         try:
@@ -277,6 +326,14 @@ class TestNearest:
         # score matrix would be 164 MB. float64 inputs, so nothing is copied.
         x = rng.normal(size=(20000, 16))
         c = rng.normal(size=(1024, 16))
+        assert (self._nearest_peak(x, c)
+                < 2 * 20000 * 8 + 4 * core._BLOCK_ELEMS * 8)
+
+    def test_memory_is_bounded_by_the_outputs_when_d_exceeds_k(self, rng):
+        # Rows per block follow max(k, d), so the final gather x - c[best]
+        # stays one block; sized by k alone it would be 4096 x 257 x 8 B.
+        x = rng.normal(size=(20000, 257))
+        c = rng.normal(size=(16, 257))
         assert (self._nearest_peak(x, c)
                 < 2 * 20000 * 8 + 4 * core._BLOCK_ELEMS * 8)
 

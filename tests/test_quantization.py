@@ -134,6 +134,19 @@ class TestPqReconstruct:
         with pytest.raises(CorruptCode):
             pq.pq_reconstruct(cb, np.array([[255, 0]], dtype=np.uint8))
 
+    @pytest.mark.parametrize("codes", [np.array([[257, 1]]),
+                                       np.array([[1.7, 1]]),
+                                       np.array([[-255, 1]]),
+                                       np.array([[2**63 + 1, 1]],
+                                                dtype=np.uint64)],
+                             ids=["wraps-to-1", "float", "negative", "uint64"])
+    def test_codes_are_checked_before_any_cast(self, rng, codes):
+        # Each of these would read as the codes [1, 1] after a uint8 cast.
+        cb = pq.pq_train(rng.normal(size=(50, 4)).astype(np.float32), 2, 4,
+                         make_rng(0))
+        with pytest.raises(CorruptCode):
+            pq.pq_reconstruct(cb, codes)
+
 
 class TestAdcTable:
     def test_codeword_entry_zero(self, rng):
