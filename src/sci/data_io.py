@@ -332,12 +332,6 @@ def _tsv_fields(lines, n_fields, first_lineno=1):
         yield lineno, fields
 
 
-def _tsv_rows(path, n_fields):
-    """(line number, fields) for each non-empty line of a UTF-8 TSV file."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        yield from _tsv_fields(fh, n_fields)
-
-
 def write_qrels(path, qrels) -> None:
     with atomic_open(path) as fh:
         for qid in sorted(qrels):
@@ -436,15 +430,24 @@ def write_run(path, run_rows) -> None:
 
 
 def read_run(path):
-    run = defaultdict(list)
-    for lineno, fields in _tsv_rows(path, 4):
-        try:
-            qid, rank, item = map(int, fields[:3])
-            float(fields[3])
-        except ValueError:
-            raise ParseError(lineno, "malformed field") from None
-        run[qid].append((rank, item))
-    return {qid: [item for _, item in sorted(pairs)] for qid, pairs in run.items()}
+    """query_id -> item ids in rank order, in file order. A query that lists
+    a rank or an item twice raises ParseError at the second one's line."""
+    run, listed = defaultdict(dict), set()
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, fields in _tsv_fields(fh, 4):
+            try:
+                qid, rank, item = map(int, fields[:3])
+                float(fields[3])
+            except ValueError:
+                raise ParseError(lineno, "malformed field") from None
+            if rank in run[qid]:
+                raise ParseError(lineno, f"query {qid} repeats rank {rank}")
+            if (qid, item) in listed:
+                raise ParseError(lineno, f"query {qid} repeats item {item}")
+            run[qid][rank] = item
+            listed.add((qid, item))
+    return {qid: [items[r] for r in sorted(items)]
+            for qid, items in run.items()}
 
 
 def write_history_csv(path, history) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .clustering import kmeans
 from .core import _equal, _rows, nearest, pairwise_sq_dists
-from .errors import BadSubspaceSplit, CorruptCode
+from .errors import BadSubspaceSplit, CorruptCode, TooFewPoints
 
 
 @dataclass
@@ -43,6 +43,8 @@ def pq_train(residuals, m: int, ksub: int, rng) -> PqCodebook:
     if not 1 <= ksub <= 256:
         raise ValueError(f"ksub must lie in [1, 256] (one byte per code), "
                          f"got {ksub}")
+    if x.shape[0] < ksub:
+        raise TooFewPoints(f"{x.shape[0]} residuals for ksub={ksub}")
     sub_dim = dim // m
     subs = _split(x, m, sub_dim)
     codebooks = np.empty((m, ksub, sub_dim), dtype=np.float32)

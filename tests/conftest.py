@@ -1,8 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
+import sci
 from sci import encoder, training
 from sci.core import make_rng
+
+
+THREAD_VARS = ("SCI_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+               "MKL_NUM_THREADS")
+
+
+def child_env(preset):
+    """This process's environment without its thread variables, plus preset,
+    with this checkout's sci importable."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sci.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ import pytest
 
 from sci import cli, data_io, ivf, training
 
+from conftest import child_env
+
 
 def run_ok(argv):
     assert cli.run(argv) == 0
@@ -240,8 +242,11 @@ class TestErrors:
         (["--nlist", "0"], "nlist must be >= 1, got 0"),
         (["--nlist", "-4"], "nlist must be >= 1, got -4"),
         (["--variant", "pq", "--pq-ksub", "0"], "ksub must lie in [1, 256]"),
-        (["--variant", "pq", "--pq-ksub", "257"], "got 257")],
-        ids=["nlist-0", "nlist-negative", "pq-ksub-0", "pq-ksub-257"])
+        (["--variant", "pq", "--pq-ksub", "257"], "got 257"),
+        (["--variant", "pq", "--pq-ksub", "201"],
+         "200 residuals for ksub=201")],
+        ids=["nlist-0", "nlist-negative", "pq-ksub-0", "pq-ksub-257",
+             "pq-ksub-201"])
     @pytest.mark.parametrize("command", ["build-index", "sweep"])
     def test_index_flag_out_of_range_is_exit_1(self, pipeline, tmp_path,
                                                capsys, command, flags,
@@ -417,20 +422,6 @@ class TestCutoffLists:
         assert not (tmp_path / "s.csv").exists()
 
 
-THREAD_VARS = ("SCI_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-               "MKL_NUM_THREADS")
-
-
-def _child_env(preset):
-    """This process's environment without its thread variables, plus preset,
-    with this checkout's sci importable."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env.update(preset)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
 def _blas_threads_at_numpy_import(preset):
     """OPENBLAS_NUM_THREADS at the moment numpy is first imported, which is
     when the BLAS library reads it, in a child that imports sci.cli with the
@@ -450,7 +441,7 @@ def _blas_threads_at_numpy_import(preset):
         print(seen[0])
     """)
     out = subprocess.run([sys.executable, "-c", script],
-                         env=_child_env(preset), capture_output=True,
+                         env=child_env(preset), capture_output=True,
                          text=True, check=True)
     return out.stdout.strip()
 
@@ -483,7 +474,7 @@ class TestThreadCap:
             sys.stdout.buffer.write(idx.astype("<i8").tobytes() + dist.tobytes())
         """)
         out = [subprocess.run([sys.executable, "-c", script],
-                              env=_child_env({"SCI_THREADS": threads}),
+                              env=child_env({"SCI_THREADS": threads}),
                               capture_output=True, check=True).stdout
                for threads in ("1", "2")]
         idx = np.frombuffer(out[0][:8192 * 8], dtype="<i8")
@@ -528,7 +519,7 @@ class TestThreadCap:
                         sys.exit(f"failed: {argv}")
             """)
             subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                           env=_child_env({"SCI_THREADS": threads}),
+                           env=child_env({"SCI_THREADS": threads}),
                            capture_output=True, check=True)
             return {p.relative_to(root): p.read_bytes()
                     for p in sorted(root.rglob("*")) if p.is_file()}

@@ -380,14 +380,16 @@ def _qrels_outcome(read, path):
 
 # Well-formed lines, whose pairs repeat now and then, and odd lines: field
 # counts, empty fields, what int() accepts beyond plain digits, what it
-# refuses, and what int64 cannot hold.
+# refuses, what np.loadtxt reads but int() refuses (a reader built on it
+# must refuse them too), and what int64 can and cannot hold.
 _QREL_LINE = st.tuples(st.integers(0, 3), st.integers(0, 400),
                        st.integers(0, 3)).map(lambda t: "\t".join(map(str, t)))
 _QREL_ODD_LINE = st.one_of(
     st.lists(st.sampled_from(["1", "2", "3", ""]), min_size=0, max_size=6),
     st.lists(st.sampled_from(
         ["5", "300", "007", "-2", "+3", " 4", "1_0", "9" * 18, "9" * 19,
-         "9" * 25, "x", "", "\u0663", "\ufffd", "1.0"]),
+         "9" * 25, "x", "", "\u0663", "\ufffd", "1.0", "\u01fe", "1\u01ff",
+         "\x1c1", "2\x1f", "\x0b3", "\xa04", "1" + "0" * 18]),
         min_size=3, max_size=3)).map("\t".join)
 
 
@@ -448,6 +450,20 @@ class TestRuns:
         path.write_text("0\tone\t2\t0.5\n")
         with pytest.raises(ParseError):
             data_io.read_run(path)
+
+    def test_repeated_item_is_refused(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        path.write_text("0\t1\t5\t0.9\n1\t1\t5\t0.9\n0\t2\t5\t0.8\n")
+        with pytest.raises(ParseError, match="query 0 repeats item 5") as exc:
+            data_io.read_run(path)
+        assert exc.value.line == 3
+
+    def test_repeated_rank_is_refused(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        path.write_text("3\t1\t7\t0.9\n\n3\t1\t5\t0.9\n")
+        with pytest.raises(ParseError, match="query 3 repeats rank 1") as exc:
+            data_io.read_run(path)
+        assert exc.value.line == 3
 
     def test_non_utf8_byte(self, tmp_path):
         path = tmp_path / "run.tsv"
