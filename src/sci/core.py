@@ -85,6 +85,15 @@ def _row_ids(ids, x: np.ndarray, name: str) -> np.ndarray:
     return ids
 
 
+def _first_repeat(ids: np.ndarray) -> int | None:
+    """The position of the first id that repeats an earlier one, or None."""
+    ordered = np.sort(ids)  # ~10x cheaper than np.unique(return_index=True)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    first = np.unique(ids, return_index=True)[1]  # each id's first position
+    return int(np.setdiff1d(np.arange(len(ids)), first)[0])
+
+
 def _equal(a, b) -> bool:
     """Value equality, the `__eq__` of every record that holds arrays:
     dataclasses field by field (skipping compare=False), dicts, lists and

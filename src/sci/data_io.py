@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .core import _equal, make_rng
+from .core import _equal, _first_repeat, make_rng
 from .errors import CorruptFile, DuplicateQrel, ParseError
 from .training import TripletBatch
 
@@ -250,6 +250,8 @@ def write_vectors(path, vectors, ids=None) -> None:
         ids = np.asarray(ids, dtype=np.uint64)
         if ids.shape != (x.shape[0],):
             raise ValueError("ids length must match row count")
+        if (pos := _first_repeat(ids)) is not None:
+            raise ValueError(f"id {ids[pos]} repeated at row {pos}")
     header = struct.pack("<IQ", x.shape[1], x.shape[0])
     write_container(path, _VEC_MAGIC, [header, x.astype("<f4").tobytes()])
     ids_path = f"{os.fspath(path)}.ids"
@@ -274,6 +276,8 @@ def read_vectors(path):
     r = Reader(ids_path)
     ids = r.array("<u8", (count,))
     r.end()
+    if (pos := _first_repeat(ids)) is not None:
+        raise r.error(8 * pos, f"id {ids[pos]} repeated")
     return vectors, ids
 
 

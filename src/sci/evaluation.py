@@ -1,9 +1,10 @@
 """Exact-search oracle, IR metrics, and the nprobe sweep harness.
 
-Runs are dicts query_id -> ranked item id list. Qrels are dicts
-query_id -> {item_id: grade}, grade >= 1 meaning relevant. Queries with an
-empty relevant set are skipped (not scored as zero) and the skip count is
-reported.
+Runs are dicts query_id -> ranked item id list, no item twice. Qrels are
+dicts query_id -> {item_id: grade}, grade >= 1 meaning relevant. Queries
+with an empty relevant set are skipped (not scored as zero) and the skip
+count is reported. Every metric is a column reduction of one 0/1 hit
+matrix, a row per scored query and a column per rank.
 """
 
 from __future__ import annotations
@@ -41,45 +42,6 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
     return out_ids, out_dists
 
 
-def _relevant_sets(run, qrels):
-    """qid -> relevant item set, in run order, for the queries of run that
-    have a relevant item."""
-    rels = {}
-    for qid in run:
-        rel = {item for item, grade in qrels.get(qid, {}).items() if grade >= 1}
-        if rel:
-            rels[qid] = rel
-    return rels
-
-
-def _precision(top, rel, k):
-    return len(set(top) & rel) / k
-
-
-def _recall(top, rel, k):
-    return len(set(top) & rel) / len(rel)
-
-
-def _reciprocal_rank(top, rel, k):
-    for rank, item in enumerate(top, start=1):
-        if item in rel:
-            return 1.0 / rank
-    return 0.0
-
-
-def _ndcg(top, rel, k):
-    dcg = 0.0
-    for rank, item in enumerate(top, start=1):
-        if item in rel:
-            dcg += 1.0 / math.log2(rank + 1)
-    idcg = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(rel), k) + 1))
-    return dcg / idcg if idcg > 0.0 else 0.0
-
-
-_PER_QUERY = {"precision": _precision, "recall": _recall,
-              "mrr": _reciprocal_rank, "ndcg": _ndcg}
-
-
 @dataclass
 class EvalReport:
     values: dict       # "metric@k" -> value in [0, 1]
@@ -89,19 +51,47 @@ class EvalReport:
 
 def evaluate(run, qrels, k_list) -> EvalReport:
     """Every metric of METRICS at every cutoff of k_list: the mean over the
-    queries of run that have a relevant item, the relevant sets built once.
-    NDCG is binary-gain: every relevant item gains 1, whatever its grade."""
-    rels = _relevant_sets(run, qrels)
+    queries of run that have a relevant item. NDCG is binary-gain. The hit
+    matrix is as wide as the longest row; a cutoff past a row's end reads
+    its last column. Sums run in rank order, so the values are bitwise the
+    definitions' (the ideal DCG is the left-to-right sum that `sum` gave
+    before Python 3.12 made it compensated)."""
+    if not k_list:
+        raise ValueError("k_list is empty")
+    if min(k_list) < 1:
+        raise ValueError("k must be >= 1")
+    rows, n_rel = [], []
+    for qid, ranked in run.items():
+        if len(set(ranked)) != len(ranked):
+            raise ValueError(f"query {qid} ranks an item twice")
+        judged = qrels.get(qid, {})
+        if n := sum(grade >= 1 for grade in judged.values()):
+            rows.append([judged.get(i, 0) >= 1 for i in ranked[:max(k_list)]])
+            n_rel.append(n)
+    width = max(map(len, rows), default=0)
+    depth = max(width, min(max(n_rel, default=0), max(k_list)))
+    # gain[r] = 1 / log2(r + 1); column c of the sums covers ranks 1..c
+    gain = np.r_[0.0, [1.0 / math.log2(r + 1) for r in range(1, depth + 1)]]
+    hits = np.zeros((len(rows), width + 1), dtype=bool)
+    for hit, row in zip(hits, rows):
+        hit[1:len(row) + 1] = row
+    n_rel = np.array(n_rel, dtype=np.int64)
+    found = np.cumsum(hits, axis=1)
+    dcg = np.cumsum(hits * gain[:width + 1], axis=1)
+    ideal = np.cumsum(gain)
+    # the rank of the first hit is the count of found's leading zeros
+    first = np.where(found[:, -1] > 0, (found == 0).sum(axis=1), np.inf)
     values = {}
     for k in k_list:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        for metric in METRICS:
-            per_query = [_PER_QUERY[metric](run[qid][:k], rel, k)
-                         for qid, rel in rels.items()]
-            values[f"{metric}@{k}"] = (float(np.mean(per_query)) if per_query
-                                       else 0.0)
-    return EvalReport(values, len(run), len(run) - len(rels))
+        c = min(k, width)
+        # in METRICS order; precision by Python's int division, exact for any k
+        per_query = (np.array([f / k for f in range(c + 1)])[found[:, c]],
+                     found[:, c] / n_rel,
+                     np.where(first <= c, 1.0 / first, 0.0),
+                     dcg[:, c] / ideal[np.minimum(n_rel, min(k, depth))])
+        for metric, value in zip(METRICS, per_query):
+            values[f"{metric}@{k}"] = float(np.mean(value)) if rows else 0.0
+    return EvalReport(values, len(run), len(run) - len(rows))
 
 
 @dataclass
@@ -132,11 +122,10 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
             results = ivf.search_batch(index, model, Q, nprobe, k_max)
             run = {qid: [item for item, _ in result.ranked]
                    for qid, result in zip(query_ids.tolist(), results)}
-            report = evaluate(run, qrels, k_list)
-            for k in k_list:
-                for metric in METRICS:
-                    values[(method, nprobe, metric, k)] = \
-                        report.values[f"{metric}@{k}"]
+            report = evaluate(run, qrels, k_list).values
+            values.update(((method, nprobe, metric, k),
+                           report[f"{metric}@{k}"])
+                          for k in k_list for metric in METRICS)
 
     matches = [(metric, k, np_std,
                 next((np_ci for np_ci in nprobe_list

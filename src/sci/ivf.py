@@ -16,8 +16,8 @@ import numpy as np
 
 from . import data_io, encoder
 from .clustering import MAX_ITERS, Centroids, assign_batch, kmeans
-from .core import (_BLOCK_ELEMS, _equal, _row_ids, _rows, pairwise_sq_dists,
-                   top_k)
+from .core import (_BLOCK_ELEMS, _equal, _first_repeat, _row_ids, _rows,
+                   pairwise_sq_dists, top_k)
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
                      TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
@@ -235,10 +235,7 @@ def load(path) -> IvfIndex:
     if sum(len(i) for i in list_ids) != n_items:
         raise r.error(r.offset, "n_items does not match list sizes")
     ids = np.concatenate(list_ids)
-    ordered = np.sort(ids)
-    if (ordered[1:] == ordered[:-1]).any():
-        first = np.unique(ids, return_index=True)[1]  # each id's first row
-        pos = int(np.setdiff1d(np.arange(len(ids)), first)[0])
+    if (pos := _first_repeat(ids)) is not None:
         at = np.concatenate([offset + 8 * np.arange(len(i))
                              for offset, i in zip(id_offsets, list_ids)])
         raise r.error(int(at[pos]), f"item id {ids[pos]} repeated")

@@ -312,6 +312,31 @@ class TestErrors:
                         "--out", str(tmp_path / "r.tsv")]) == 1
 
 
+    @pytest.mark.parametrize("command", ["search", "sweep"])
+    def test_repeated_query_ids_are_exit_1(self, pipeline, tmp_path, capsys,
+                                           command):
+        # search used to write a run that eval refuses, and sweep to drop
+        # every row whose id repeats an earlier one
+        queries = tmp_path / "queries.sciv"
+        shutil.copy(os.path.join(pipeline["data"], "queries.sciv"), queries)
+        ids = np.arange(30, dtype="<u8") // 2
+        (tmp_path / "queries.sciv.ids").write_bytes(ids.tobytes())
+        out = tmp_path / "out"
+        argv = {"search": ["search", "--index", pipeline["index"]],
+                "sweep": ["sweep", "--items",
+                          os.path.join(pipeline["data"], "items.sciv"),
+                          "--qrels",
+                          os.path.join(pipeline["data"], "qrels.tsv"),
+                          "--nlist", "4", "--nprobe", "1,2"]}[command]
+        capsys.readouterr()
+        assert cli.run([*argv, "--model", pipeline["model"], "--queries",
+                        str(queries), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"sci: error: corrupt file at byte 8: {queries}.ids: id 0 "
+            f"repeated\n")
+        assert not out.exists()
+
+
 class TestFlags:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_every_command_takes_a_seed(self, capsys, command):

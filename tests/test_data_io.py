@@ -189,6 +189,28 @@ class TestVectorFiles:
         assert exc.value.offset == 32
 
 
+    @pytest.mark.parametrize("ids, second", [([10, 11, 12, 11], 3),
+                                             ([0, 0, 1, 1], 1),
+                                             ([7, 8, 9, 7], 3)])
+    def test_repeated_id_is_refused_at_its_second_copy(self, rng, tmp_path,
+                                                       ids, second):
+        path = tmp_path / "v.sciv"
+        data_io.write_vectors(path, rng.normal(size=(4, 2)))
+        (tmp_path / "v.sciv.ids").write_bytes(
+            np.array(ids, dtype="<u8").tobytes())
+        with pytest.raises(CorruptFile, match=f"id {ids[second]} repeated") \
+                as exc:
+            data_io.read_vectors(path)
+        assert exc.value.offset == 8 * second
+
+    def test_write_refuses_repeated_ids(self, rng, tmp_path):
+        path = tmp_path / "v.sciv"
+        with pytest.raises(ValueError, match="id 5 repeated at row 2"):
+            data_io.write_vectors(path, rng.normal(size=(3, 2)), [5, 6, 5])
+        assert not path.exists()
+        assert not (tmp_path / "v.sciv.ids").exists()
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "out.txt"

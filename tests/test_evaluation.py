@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sci import encoder, evaluation, ivf
 from sci.core import make_rng
@@ -221,6 +223,51 @@ class TestEvaluate:
                       if not any(g >= 1 for g in qrels.get(q, {}).values()))
         assert report.n_skipped == skipped
         assert 0 < report.n_skipped < report.n_queries == 40
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(run=st.dictionaries(
+               st.integers(0, 9), st.lists(st.integers(0, 11), unique=True,
+                                           max_size=12), max_size=8),
+           qrels=st.dictionaries(
+               st.integers(0, 9), st.dictionaries(st.integers(0, 11),
+                                                  st.integers(0, 2),
+                                                  max_size=12), max_size=8),
+           k_list=st.lists(st.one_of(st.integers(1, 14),
+                                     st.integers(1, 10**12),
+                                     st.just(10**12)),
+                           min_size=1, max_size=6))
+    @example(run={}, qrels={0: {1: 1}}, k_list=[1, 5])
+    @example(run={0: [3, 1]}, qrels={0: {1: 0, 2: 1}}, k_list=[2, 10**12])
+    @example(run={0: [], 1: [2]}, qrels={0: {1: 1}, 1: {2: 1}},
+             k_list=[3, 3, 1])
+    # a row with no hit adds no reciprocal rank at a cutoff past every row
+    @example(run={0: [4, 2], 1: [3]}, qrels={0: {2: 1}, 1: {9: 1}},
+             k_list=[1, 10**12])
+    # cutoffs beyond 2**53 and beyond the float range
+    @example(run={0: [1, 2]}, qrels={0: {2: 1}}, k_list=[2**53 + 1, 10**400])
+    def test_equals_the_reference_bitwise(self, run, qrels, k_list):
+        # Runs shorter and longer than the cutoffs, repeated cutoffs and
+        # cutoffs far past every row, zero grades, queries without qrels.
+        report = evaluation.evaluate(run, qrels, k_list)
+        want = {f"{metric}@{k}": _reference_metric(run, qrels, metric, k)
+                for k in k_list for metric in evaluation.METRICS}
+        assert list(report.values.items()) == list(want.items())
+        scored = sum(1 for q in run
+                     if any(g >= 1 for g in qrels.get(q, {}).values()))
+        assert (report.n_queries, report.n_skipped) == (len(run),
+                                                       len(run) - scored)
+
+    @pytest.mark.parametrize("run", [{0: [5, 5]}, {0: [1], 3: [2, 7, 2]}])
+    def test_repeated_item_is_refused(self, run):
+        # NDCG used to count the repeat while precision and recall did not.
+        qid = list(run)[-1]
+        with pytest.raises(ValueError, match=f"query {qid} ranks an item "
+                                             "twice"):
+            evaluation.evaluate(run, {0: {5: 1}}, [2])
+
+    def test_empty_k_list_is_refused(self):
+        with pytest.raises(ValueError, match="k_list is empty"):
+            evaluation.evaluate({0: [1]}, {0: {1: 1}}, [])
 
 
 class TestNprobeSweep:

@@ -132,10 +132,12 @@ _BY_TARGET = {case[1]: case for case in CASES}
     ("mlp1.scim", 9, 0xfe),       # normalize flag 255
     ("linear.scim", 18, 0x01),    # a linear model with hidden_dim 1
     ("flat.scix", 10, 0x01),      # a flat index with pq_m 1
-    ("flat.scix", 10, 0xff)])     # a flat index with pq_m 255
+    ("flat.scix", 10, 0xff),      # a flat index with pq_m 255
+    ("v.sciv.ids", 8, 0x01)])     # ids 10, 10, 12, ...: a repeated id
 def test_header_values_no_writer_makes(originals, scratch, target, pos,
                                        flip):
-    """Header values that a random sample of byte changes can miss."""
+    """Header values, and other values no writer makes, that a random sample
+    of byte changes can miss."""
     case = _BY_TARGET[target]
     assert _load(scratch, originals, case,
                  _damage(originals[target], pos, flip))

@@ -94,6 +94,11 @@ def pipeline():
                      ["eval", "--run", f"{run}.tsv", "--qrels",
                       f"{data}/qrels.tsv", "--k", "2,10,1",
                       "--out", f"{run}.eval.csv"]]
+    # Cutoffs inside and far past the rows of a run whose rows differ in
+    # length (nprobe 1 returns fewer than k=1000 items).
+    cmds.append(["eval", "--run", "d16/ci-flat.p1.k1000.tsv", "--qrels",
+                 "d16/qrels.tsv", "--k", "1,7,1000000000000",
+                 "--out", "d16/ci-flat.p1.k1000.cutoffs.eval.csv"])
     for data, name, flags in _SWEEPS:
         cmds.append(["sweep", "--model", f"{data}/model.scim", "--items",
                      f"{data}/items.sciv", "--queries", f"{data}/queries.sciv",
