@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _equal, _rows, nearest, pairwise_sq_dists
+from .core import _equal, _rows, _sum_sq, nearest, pairwise_sq_dists
 from .errors import TooFewPoints
 
 MAX_ITERS = 25
@@ -91,8 +91,7 @@ def kmeans(vectors, k: int, rng) -> Centroids:
         for j, col in enumerate(cols):
             sums[:, j] = np.bincount(labels, weights=col, minlength=k)
         new_centers = sums / counts[:, None]
-        move = new_centers - centers
-        shift = float(np.max(np.sqrt(np.einsum("ij,ij->i", move, move))))
+        shift = float(np.max(np.sqrt(_sum_sq(new_centers - centers))))
         centers = new_centers
         if shift < TOL:
             break

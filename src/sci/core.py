@@ -115,15 +115,15 @@ def _equal(a, b) -> bool:
 
 def row_normalize(x: np.ndarray) -> np.ndarray:
     """L2-normalize each row of a 2-D float64 array. Raises ZeroNorm on a zero row."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    norms = np.sqrt(_sum_sq(x))
     if np.any(norms == 0.0):
         raise ZeroNorm("zero row encountered during normalization")
     return x / norms[:, None]
 
 
 def _sum_sq(diff: np.ndarray, out=None) -> np.ndarray:
-    """Sum of squares over the last axis: the one arithmetic of every exact
-    squared distance, so the kernel and `nearest`'s rerank agree bitwise."""
+    """Sum of squares over the last axis, the one arithmetic of every squared
+    norm and distance: the kernel and `nearest`'s rerank agree bitwise."""
     return np.einsum("...k,...k->...", diff, diff, out=out)
 
 

@@ -384,8 +384,6 @@ def _merge_qrels_block(qrels, values) -> bool:
     cuts = (np.flatnonzero(values[1:, 0] != values[:-1, 0]) + 1).tolist()
     staged = {}
     for a, b in zip([0] + cuts, cuts + [len(q)]):
-        if a == b:
-            continue
         rel = staged.setdefault(q[a], {})
         size = len(rel)
         rel.update(zip(items[a:b], grades[a:b]))

@@ -42,6 +42,14 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
     return out_ids, out_dists
 
 
+def _check_cutoffs(name, values) -> None:
+    """Refuse an empty list of cutoffs, or one below 1."""
+    if not values:
+        raise ValueError(f"{name}_list is empty")
+    if (low := min(values)) < 1:
+        raise ValueError(f"{name} must be >= 1, got {low}")
+
+
 @dataclass
 class EvalReport:
     values: dict       # "metric@k" -> value in [0, 1]
@@ -56,10 +64,7 @@ def evaluate(run, qrels, k_list) -> EvalReport:
     its last column. Sums run in rank order, so the values are bitwise the
     definitions' (the ideal DCG is the left-to-right sum that `sum` gave
     before Python 3.12 made it compensated)."""
-    if not k_list:
-        raise ValueError("k_list is empty")
-    if min(k_list) < 1:
-        raise ValueError("k must be >= 1")
+    _check_cutoffs("k", k_list)
     rows, n_rel = [], []
     for qid, ranked in run.items():
         if len(set(ranked)) != len(ranked):
@@ -111,6 +116,8 @@ def nprobe_sweep(index_std: ivf.IvfIndex, index_ci: ivf.IvfIndex, model,
     metric/cutoff, the smallest CI nprobe that reaches each Standard
     nprobe's value.
     """
+    _check_cutoffs("k", k_list)
+    _check_cutoffs("nprobe", nprobe_list)
     if index_std.n_items != index_ci.n_items or index_std.dim != index_ci.dim:
         raise MismatchedCorpora("indexes do not cover the same corpus")
     Q = _rows(Q, "queries Q")

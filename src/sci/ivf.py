@@ -17,7 +17,7 @@ import numpy as np
 from . import data_io, encoder
 from .clustering import MAX_ITERS, Centroids, assign_batch, kmeans
 from .core import (_BLOCK_ELEMS, _equal, _first_repeat, _row_ids, _rows,
-                   pairwise_sq_dists, top_k)
+                   _sum_sq, pairwise_sq_dists, top_k)
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
                      TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
@@ -57,6 +57,12 @@ class SearchResult:
     probed_clusters: list
 
 
+def _residuals(e, centers, rows) -> np.ndarray:
+    """PQ residuals e[i] - centers[rows[i]], subtracted in float64, as f32."""
+    return (e.astype(np.float64) -
+            centers[rows].astype(np.float64)).astype(np.float32)
+
+
 def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
           pq_m: int = 8, pq_ksub: int = 16,
           residual_space: str = RESIDUAL_REPR) -> IvfIndex:
@@ -72,8 +78,8 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
         raise ValueError(f"nlist must be >= 1, got {nlist}")
     X = _rows(X, "item features X")
     ids = _row_ids(ids, X, "X")
-    if len(np.unique(ids)) != len(ids):
-        raise DuplicateItem("item ids must be unique")
+    if (pos := _first_repeat(ids)) is not None:
+        raise DuplicateItem(f"item id {ids[pos]} repeated at row {pos}")
     if len(ids) < nlist:
         raise TooFewPoints(f"{len(ids)} items for nlist={nlist}")
 
@@ -89,13 +95,12 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
     codebook = codes = mean_recon = None
     if variant == PQ:
         base = e_repr if residual_space == RESIDUAL_REPR else e_struct
-        residuals = (base.astype(np.float64) -
-                     centroids.centers[labels].astype(np.float64)).astype(np.float32)
+        residuals = _residuals(base, centroids.centers, labels)
         codebook = pq_train(residuals, pq_m, pq_ksub, rng)
         codes = pq_encode_batch(codebook, residuals)
         recon = pq_reconstruct(codebook, codes)
         diff = residuals.astype(np.float64) - recon.astype(np.float64)
-        mean_recon = float(np.mean(np.einsum("ij,ij->i", diff, diff)))
+        mean_recon = float(np.mean(_sum_sq(diff)))
 
     payload = e_repr if variant == FLAT else codes
     members = [np.flatnonzero(labels == j) for j in range(nlist)]
@@ -141,9 +146,9 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
         probed = top_k(pairwise_sq_dists(e_q, centers), np.arange(index.nlist),
                        n_probe)
         if index.variant == PQ:
-            residuals = (np.repeat(e_q, n_probe, axis=0).astype(np.float64) -
-                         centers[probed.ravel()].astype(np.float64))
-            tables = adc_table(cb, residuals.astype(np.float32)).reshape(
+            residuals = _residuals(np.repeat(e_q, n_probe, axis=0), centers,
+                                   probed.ravel())
+            tables = adc_table(cb, residuals).reshape(
                 len(e_q), n_probe, cb.m, cb.ksub).transpose(0, 2, 1, 3).reshape(
                 len(e_q), cb.m, n_probe * cb.ksub)
         for r, probe in enumerate(probed):

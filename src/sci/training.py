@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder
-from .core import _equal, _rows, as_f32, make_rng
+from .core import _equal, _rows, _sum_sq, as_f32, make_rng
 from .errors import (DegenerateTriplet, DimensionMismatch, Diverged,
                      KinkTooClose, SciError)
 
@@ -99,10 +99,6 @@ class GradReport:
     __eq__ = _equal
 
 
-def _zeros_like_params(params):
-    return {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()}
-
-
 def _accumulate(dst, src, scale=1.0):
     for k in dst:
         dst[k] += scale * src[k]
@@ -112,7 +108,7 @@ def _tower_backward(params, arch, normalize, cache, out, d_out):
     """Gradient of a scalar loss w.r.t. tower parameters, given d loss / d out."""
     if normalize:
         # out = z / ||z||; d z = (d_out - out * <out, d_out>) / ||z||
-        norms = np.sqrt(np.einsum("ij,ij->i", cache["z"], cache["z"]))
+        norms = np.sqrt(_sum_sq(cache["z"]))
         inner = np.einsum("ij,ij->i", out, d_out)
         d_z = (d_out - out * inner[:, None]) / norms[:, None]
     else:
@@ -166,10 +162,8 @@ def _combined(params_q, params_i, arch, normalize, batch, cfg):
     l_orig, args_o, g_q_o, g_i_o = _path(params_q, params_i, arch, normalize,
                                          batch, cfg.margin_delta)
     args = [args_o]
-    grad_q = _zeros_like_params(params_q)
-    grad_i = _zeros_like_params(params_i)
-    _accumulate(grad_q, g_q_o, w_o)
-    _accumulate(grad_i, g_i_o, w_o)
+    grad_q = {k: w_o * v for k, v in g_q_o.items()}
+    grad_i = {k: w_o * v for k, v in g_i_o.items()}
 
     l_swap = 0.0
     if cfg.lambda_weight > 0.0:

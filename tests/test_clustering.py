@@ -127,6 +127,12 @@ class TestKmeans:
         if case == "duplicates":
             assert repairs > 0
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            clustering.kmeans(np.zeros((3, 2), dtype=np.float32), k,
+                              rng=make_rng(0))
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             clustering.kmeans(np.zeros((3, 2), dtype=np.float32), 5,

@@ -417,7 +417,7 @@ def _callers(func_name):
 
 @pytest.mark.parametrize("func_name",
                          ["argmin", "argsort", "argpartition", "lexsort",
-                          "partition"])
+                          "partition", "unique"])
 def test_selection_rules_live_only_in_core(func_name):
     assert _callers(func_name) <= {"core.py"}
 
@@ -428,34 +428,46 @@ def _broadcasts_none(node):
                     for e in node.slice.elts))
 
 
-def test_difference_tensors_live_only_in_the_kernel():
-    # A subtraction with a None-indexed operand builds a broadcast difference
-    # tensor. Only the kernel may do so.
+def _functions_with(match):
+    """(module, function) of every src/sci function holding a node for
+    which match(node) is true."""
     found = set()
     for path in SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
-                        and (_broadcasts_none(node.left)
-                             or _broadcasts_none(node.right))):
-                    found.add((path.name, fn.name))
-    assert found == {("core.py", "pairwise_sq_dists")}
+            if isinstance(fn, ast.FunctionDef) and any(map(match,
+                                                           ast.walk(fn))):
+                found.add((path.name, fn.name))
+    return found
+
+
+def test_difference_tensors_live_only_in_the_kernel():
+    # A subtraction with a None-indexed operand builds a broadcast difference
+    # tensor. Only the kernel may do so.
+    assert _functions_with(
+        lambda node: isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and (_broadcasts_none(node.left) or _broadcasts_none(node.right))
+    ) == {("core.py", "pairwise_sq_dists")}
+
+
+def test_sums_of_squares_live_only_in_sum_sq():
+    # An einsum of one expression with itself is a sum of squares. Only
+    # _sum_sq may compute one, so every squared norm shares its arithmetic.
+    assert _functions_with(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "einsum" and len(node.args) == 3
+        and ast.dump(node.args[1]) == ast.dump(node.args[2])
+    ) == {("core.py", "_sum_sq")}
 
 
 def test_array_shapes_are_read_only_in_the_shape_rule():
     # Every array input goes through core._rows; top_k reads .ndim to tell a
     # vector from a matrix, and write_vectors keeps its own ValueError.
-    found = set()
-    for path in SRC.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef) and any(
-                    isinstance(node, ast.Attribute) and node.attr == "ndim"
-                    for node in ast.walk(fn)):
-                found.add((path.name, fn.name))
-    assert found == {("core.py", "_rows"), ("core.py", "top_k"),
-                     ("data_io.py", "write_vectors")}
+    assert _functions_with(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "ndim"
+    ) == {("core.py", "_rows"), ("core.py", "top_k"),
+          ("data_io.py", "write_vectors")}
 
 
 def _build(ids, x):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -210,6 +211,14 @@ class TestVectorFiles:
         assert not path.exists()
         assert not (tmp_path / "v.sciv.ids").exists()
 
+    @pytest.mark.parametrize("ids", [[5, 6], [5, 6, 7, 8]])
+    def test_write_refuses_ids_of_another_length(self, rng, tmp_path, ids):
+        path = tmp_path / "v.sciv"
+        with pytest.raises(ValueError, match="ids length must match row count"):
+            data_io.write_vectors(path, rng.normal(size=(3, 2)), ids)
+        assert not path.exists()
+        assert not (tmp_path / "v.sciv.ids").exists()
+
 
 class TestAtomicWrite:
     def test_failed_write_keeps_old_file(self, tmp_path):
@@ -231,6 +240,25 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert link.is_symlink()
         assert target.read_text() == "new\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        # A reader blocked on the FIFO sees the text only if the writer opens
+        # the FIFO itself; a temp file renamed over it would replace it.
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo) as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        with data_io.atomic_open(fifo) as fh:
+            fh.write("new\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == ["new\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_new_file_mode_matches_plain_open(self, tmp_path):
         plain = tmp_path / "plain.txt"
@@ -336,10 +364,13 @@ class TestModelFiles:
 
 class TestQrels:
     def test_round_trip(self, tmp_path):
-        qrels = {0: {3: 1, 5: 2}, 2: {1: 1}}
-        path = tmp_path / "qrels.tsv"
-        data_io.write_qrels(path, qrels)
-        assert data_io.read_qrels(path) == qrels
+        # A 19-digit id does not fit int64, so it must take the line path,
+        # not saturate in the vectorized one.
+        for qrels in ({0: {3: 1, 5: 2}, 2: {1: 1}},
+                      {1: {9999999999999999999: 1}}):
+            path = tmp_path / "qrels.tsv"
+            data_io.write_qrels(path, qrels)
+            assert data_io.read_qrels(path) == qrels
 
     def test_duplicate_pair(self, tmp_path):
         path = tmp_path / "qrels.tsv"
@@ -468,10 +499,13 @@ class TestRuns:
         assert run == {0: [9, 7], 1: [3]}
 
     def test_malformed(self, tmp_path):
-        path = tmp_path / "run.tsv"
-        path.write_text("0\tone\t2\t0.5\n")
-        with pytest.raises(ParseError):
-            data_io.read_run(path)
+        # a rank that is not an integer, then a score that is not a number
+        for text in ("0\tone\t2\t0.5\n", "0\t1\t2\t0.5\n\n0\t2\t3\tx\n"):
+            path = tmp_path / "run.tsv"
+            path.write_text(text)
+            with pytest.raises(ParseError) as exc:
+                data_io.read_run(path)
+            assert exc.value.line == text.count("\n")
 
     def test_repeated_item_is_refused(self, tmp_path):
         path = tmp_path / "run.tsv"

@@ -38,6 +38,12 @@ class TestBruteForceSearch:
         oracle = sorted(range(1000), key=lambda i: (d[i], i))[:10]
         assert ids[0].tolist() == oracle
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, rng, k):
+        feats = rng.normal(size=(10, 3)).astype(np.float32)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluation.brute_force_search(np.arange(10), feats, feats[:1], k)
+
     def test_tie_break_by_id(self):
         feats = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]],
                          dtype=np.float32)
@@ -312,6 +318,21 @@ class TestNprobeSweep:
         for metric in evaluation.METRICS:
             assert sweep.values[("ci", 1, metric, 3)] == \
                 sweep.values[("standard", 1, metric, 3)]
+
+    @pytest.mark.parametrize("nprobe_list, k_list, message", [
+        ([1], [], "k_list is empty"),
+        ([1], [2, 0], "k must be >= 1, got 0"),
+        ([], [3], "nprobe_list is empty"),
+        ([4, 0], [3], "nprobe must be >= 1, got 0")],
+        ids=["empty-k", "k-zero", "empty-nprobe", "nprobe-zero"])
+    def test_cutoffs_refused_before_any_encode(self, rng, nprobe_list, k_list,
+                                               message):
+        m, std, ci, query_ids, queries, qrels = self._setup(rng)
+        calls = m.encode_calls
+        with pytest.raises(ValueError, match=message):
+            evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                    nprobe_list, k_list)
+        assert m.encode_calls == calls
 
     def test_mismatched_corpora(self, rng):
         m = linear_model(4, 4)

@@ -42,9 +42,9 @@ class TestComputeResidual:
     @staticmethod
     def _residual(e_struct, e_repr, c):
         labels, _ = clustering.assign_batch(c, [e_struct])
-        r = (np.asarray(e_repr, dtype=np.float32).astype(np.float64) -
-             c.centers[labels].astype(np.float64))
-        return labels[0], r[0].astype(np.float32)
+        r = ivf._residuals(np.array([e_repr], dtype=np.float32), c.centers,
+                           labels)
+        return labels[0], r[0]
 
     def test_centered_item(self):
         c = self._centroids()
@@ -117,8 +117,20 @@ class TestBuild:
         m = linear_model(4, 4)
         ids, feats = make_items(rng, 10, 4)
         ids[3] = 0
-        with pytest.raises(DuplicateItem):
+        with pytest.raises(DuplicateItem, match="item id 0 repeated at row 3"):
             ivf.build(m, ids, feats, ivf.STANDARD, ivf.FLAT, 2, make_rng(0))
+
+    @pytest.mark.parametrize("mode, variant, residual_space, message", [
+        ("x", ivf.FLAT, ivf.RESIDUAL_REPR, "unknown mode 'x'"),
+        (ivf.CI, "x", ivf.RESIDUAL_REPR, "unknown variant 'x'"),
+        (ivf.CI, ivf.PQ, "x", "unknown residual_space 'x'")],
+        ids=["mode", "variant", "residual_space"])
+    def test_unknown_option(self, rng, mode, variant, residual_space,
+                            message):
+        m = linear_model(4, 4)
+        with pytest.raises(ValueError, match=message):
+            ivf.build(m, *make_items(rng, 40, 4), mode, variant, 2,
+                      make_rng(0), pq_m=2, residual_space=residual_space)
 
     def test_ids_must_line_up_with_rows(self, rng):
         m = linear_model(4, 4)
@@ -487,6 +499,7 @@ class TestSerialization:
     @pytest.mark.parametrize("field, value, message", [
         ("<d", float("nan"), "non-finite"),
         ("<d", -5.0, "negative inertia"),
+        ("<d", -0.5, "negative inertia"),
         ("<I", 0, "iteration count 0 outside 1..25"),
         ("<I", clustering.MAX_ITERS + 1, "iteration count 26 outside"),
         ("<I", 4000000000, "iteration count 4000000000 outside")])
@@ -516,11 +529,29 @@ class TestSerialization:
         first_code = 28 + 4 * 4 * 8 + 12 + 8 + 8 * len(index.list_ids[0])
         data = bytearray(path.read_bytes())
         assert data[first_code] == index.list_payload[0][0, 0]
-        data[first_code] = 200
+        for code in (200, 16):  # 16 == ksub, the first code out of range
+            data[first_code] = code
+            path.write_bytes(bytes(data))
+            with pytest.raises(CorruptIndex) as exc:
+                ivf.load(path)
+            assert exc.value.offset == first_code
+
+    @pytest.mark.parametrize("ksub", [0, 257])
+    def test_ksub_outside_1_to_256(self, rng, tmp_path, ksub):
+        m = linear_model(8, 8, seed=2)
+        index = ivf.build(m, *make_items(rng, 80, 8), ivf.CI, ivf.PQ, 4,
+                          make_rng(3), pq_m=2, pq_ksub=16)
+        path = tmp_path / "index.scix"
+        ivf.save(index, path)
+        # ksub u32, then codebooks f32[2 * 16 * 4] and train_mse f64[2]
+        data = bytearray(path.read_bytes())
+        offset = len(data) - 4 * 2 * 16 * 4 - 8 * 2 - 4
+        assert data[offset:offset + 4] == struct.pack("<I", 16)
+        data[offset:offset + 4] = struct.pack("<I", ksub)
         path.write_bytes(bytes(data))
-        with pytest.raises(CorruptIndex) as exc:
+        with pytest.raises(CorruptIndex, match=f"bad ksub {ksub}") as exc:
             ivf.load(path)
-        assert exc.value.offset == first_code
+        assert exc.value.offset == offset
 
     def test_non_finite_payload(self, rng, tmp_path):
         m = linear_model(4, 4, seed=2)

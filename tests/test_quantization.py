@@ -131,8 +131,9 @@ class TestPqReconstruct:
     def test_corrupt_code(self, rng):
         cb = pq.pq_train(rng.normal(size=(50, 4)).astype(np.float32), 2, 16,
                          make_rng(0))
-        with pytest.raises(CorruptCode):
-            pq.pq_reconstruct(cb, np.array([[255, 0]], dtype=np.uint8))
+        for code in (255, 16):  # 16 == ksub, the first code out of range
+            with pytest.raises(CorruptCode):
+                pq.pq_reconstruct(cb, np.array([[code, 0]], dtype=np.uint8))
 
     @pytest.mark.parametrize("codes", [np.array([[257, 1]]),
                                        np.array([[1.7, 1]]),

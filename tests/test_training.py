@@ -49,6 +49,10 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             training.LossConfig(0.0, 0.3)
 
+    def test_unknown_combine_mode(self):
+        with pytest.raises(ValueError, match="unknown combine_mode 'x'"):
+            training.LossConfig(0.2, 0.3, "x")
+
 
 class TestLossOriginal:
     def test_hinge_arithmetic(self):
@@ -190,6 +194,13 @@ class TestGradCheck:
         with pytest.raises(KinkTooClose):
             training.grad_check(m, batch, training.LossConfig(0.5, 0.0), 1e-5)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5])
+    def test_step_must_be_positive(self, rng, h):
+        m = linear_model(4, 4, seed=1)
+        with pytest.raises(ValueError, match="h must be positive"):
+            training.grad_check(m, random_batch(rng, 8, 4),
+                                training.LossConfig(0.2, 0.3), h)
+
 
 class TestTrain:
     def _dataset(self, rng, n_batches=4):
@@ -250,6 +261,11 @@ class TestTrain:
                            training.TrainConfig(2, 1e300, 0))
         assert exc.value.epoch == 0
 
+    def test_empty_dataset(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            training.train(linear_model(4, 4), [],
+                           training.TrainConfig(1, 0.1, 0))
+
     def test_history_shape(self, rng):
         cfg = training.TrainConfig(4, 0.01, 0)
         _, history = training.train(linear_model(4, 4), self._dataset(rng), cfg)
@@ -276,6 +292,10 @@ class TestSymmetrizationOperator:
                                                    rng.normal(size=5))
             assert np.array_equal(out, out.T)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"\(2,\) vs \(3,\)"):
+            training.symmetrization_operator([1.0, 0.0], [1.0, 0.0, 0.0])
+
 
 class TestLinearGradClosedForm:
     def test_worked_example(self):
@@ -296,6 +316,18 @@ class TestLinearGradClosedForm:
         out = training.linear_grad_closed_form(
             np.eye(2), np.eye(2), [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], 0.3)
         assert np.allclose(out, [[1.3, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("w_i, q, message", [
+        # Without its check, the first would return a gradient and the
+        # second a bare numpy error.
+        (np.ones((4, 3)), [1.0, 0.0, 0.0], "inconsistent shapes"),
+        (np.ones((2, 3)), [1.0, 0.0, 0.0, 0.0], "weight/input dim mismatch")],
+        ids=["towers-differ", "input-width"])
+    def test_shape_mismatch(self, w_i, q, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            training.linear_grad_closed_form(np.ones((2, 3)), w_i, q,
+                                             np.zeros(len(q)), np.ones(len(q)),
+                                             0.5)
 
 
 class TestCollapseProbe:
@@ -326,6 +358,11 @@ class TestCollapseProbe:
         with pytest.raises(DegenerateTriplet):
             training.collapse_probe(np.eye(2), np.eye(2), [1.0, 0.0],
                                     [0.5, 0.5], [0.5, 0.5], 0.3)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"\(2,\) vs \(3,\)"):
+            training.collapse_probe(np.eye(2), np.eye(2), [1.0, 0.0],
+                                    [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.3)
 
 
 class TestTripletBatch:
