@@ -6,7 +6,9 @@ the nearest / top-k rules.
 Vectors and matrices are plain numpy float32 arrays. All reductions are
 performed in float64 so results do not drift with vector length. Every k-means
 assignment, PQ encode, coarse probe, list scan and exact search selects through
-`nearest` (ties to the lowest index) or `top_k` (ties by ascending key).
+`nearest` (ties to the lowest index), `top_k` (ties by ascending key) or, for a
+block of queries scanning flat lists, `_nearest_k` (`top_k`'s rule, scored like
+`nearest`).
 `top_k` of one 1-D array sorts only the entries at or below its k-th smallest
 value, found by one partition; rows of a matrix take one full sort.
 `nearest` scores each block of _BLOCK_ELEMS // max(k, d) rows with one
@@ -145,6 +147,14 @@ def pairwise_sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _margin(x_norm, c_max, d: int):
+    """The rounding margin of `nearest`'s proof, 4γ_{d+4}(‖x‖ + c_max)² +
+    8(d + 1)·_TINY, for rows of norm x_norm scored against rows of norm at
+    most c_max in d dimensions."""
+    gamma = (d + 4) * _U / (1.0 - (d + 4) * _U)
+    return 4.0 * gamma * (x_norm + c_max) ** 2 + 8.0 * (d + 1) * _TINY
+
+
 def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of x, the index of its nearest row of c by squared L2
     (ties to the lowest index) and that squared distance (float64).
@@ -165,10 +175,11 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       is within γ_{d+2} D_j of D_j, and D_j ≤ Q. So if D̂_j ≤ D̂_w for the
       score winner w, then D_j - D_w ≤ 2γ_{d+2} Q and
       ŝ_j ≤ ŝ_w + (2γ_{d+1} + 2γ_{d+2}) Q < ŝ_w + 4γ_{d+2} Q.
-      The margin kept is 4γ_{d+4} Q̂: the two extra units of γ exceed the
-      roundings of Q̂, of the margin and of ŝ_w + margin (together below
-      (1 + O(d²u)) u·Q). Products that underflow add at most _TINY / 2 each,
-      4d·_TINY over the four values compared, covered by 8(d + 1)·_TINY.
+      The margin kept (`_margin`) is 4γ_{d+4} Q̂: the two extra units of γ
+      exceed the roundings of Q̂, of the margin and of ŝ_w + margin
+      (together below (1 + O(d²u)) u·Q). Products that underflow add at most
+      _TINY / 2 each, 4d·_TINY over the four values compared, covered by
+      8(d + 1)·_TINY.
       Every exact minimiser j therefore has ŝ_j ≤ min ŝ + margin, and is
       kept. NaN never compares greater, so a non-finite score or margin
       keeps the whole row.
@@ -197,7 +208,6 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c_max = np.sqrt(c_sq.max())
     # Scaling by -2 is exact, so c2 @ x.T carries the error bound of x·c.
     c2 = -2.0 * c
-    gamma = (d + 4) * _U / (1.0 - (d + 4) * _U)
     # Count and index sum of the dropped centres, and of all k centres.
     count_index = np.vstack((np.ones(k), np.arange(k)))
     total = np.array([[k], [k * (k - 1) // 2]])
@@ -209,9 +219,7 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xb = x[start:start + step].astype(np.float64, copy=False)
         s = c2 @ xb.T
         s += c_sq
-        margin = (4.0 * gamma * (np.sqrt(_sum_sq(xb)) + c_max) ** 2
-                  + 8.0 * (d + 1) * _TINY)
-        lim = s.min(axis=0) + margin
+        lim = s.min(axis=0) + _margin(np.sqrt(_sum_sq(xb)), c_max, d)
         # In place: 1.0 marks a dropped centre, 0.0 a kept one.
         np.greater(s, lim, out=s)
         count, best = total - count_index @ s
@@ -229,6 +237,62 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx[start:start + step] = best
         _sum_sq(xb - c[best], out=dist[start:start + step])
     return idx, dist
+
+
+def _nearest_k(q: np.ndarray, p: np.ndarray, p_sq: np.ndarray,
+               keys: np.ndarray, k: int, cols: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (row r of q, row j of p) pair that can be among row r's k
+    nearest by (squared L2, key), as arrays (r, j, exact distance) sorted by
+    row, then by distance, then by key: the first min(k, count) pairs of each
+    row are `top_k` over the `_sum_sq(p_j - q_r)` of its columns, bitwise.
+
+    q (m, d); p (n, d) float64 with p_sq = _sum_sq(p); keys (n,) holds the
+    key of each row of p; cols, if given, (m, w) ints: the columns of p row
+    r may take, padded with -1 (all n columns when None). This is
+    `nearest`'s rule in k-select form:
+
+    - Score. One product gives -2 q·p, shape (m, n); cut to each row's own
+      columns (padding at +inf), it gains p_sq: s = p_sq - 2 q·p.
+    - Select. t̂ is a row's k-th smallest score. If ŝ_j > t̂ + margin
+      (`_margin`, with the largest ‖q‖ and ‖p‖), nearest's bound gives each
+      of the k columns i with ŝ_i ≤ t̂ an exact D̂_i < D̂_j, strictly, so j
+      ranks k + 1 or later whatever its key. Every other column is kept.
+      NaN never compares greater, so a NaN score keeps its column, and a row
+      whose t̂ is NaN or +inf (fewer than k columns) keeps all of them.
+    - Rerank. Each kept pair's distance is `_sum_sq` of the aligned gather
+      p_j - q_r, the per-pair arithmetic of `pairwise_sq_dists`, in chunks
+      of _BLOCK_ELEMS // d pairs, and one lexsort orders the pairs.
+
+    Besides p, every temporary holds O(m·n) values.
+    """
+    q = q.astype(np.float64, copy=False)
+    d = q.shape[1]
+    s = (-2.0 * q) @ p.T
+    if cols is None:
+        s += p_sq
+    else:
+        pad = cols < 0
+        s = np.take_along_axis(s, cols, axis=1) + p_sq[cols]
+        s[pad] = np.inf
+    if s.shape[1] == 0:
+        none = np.empty(0, dtype=np.intp)
+        return none, none, np.empty(0)
+    kth = min(k, s.shape[1]) - 1
+    lim = np.partition(s, kth, axis=1)[:, kth:kth + 1]
+    lim += _margin(np.sqrt(_sum_sq(q).max()), np.sqrt(p_sq.max()), d)
+    keep = ~(s > lim)
+    if cols is not None:
+        keep[pad] = False
+    rows, at = np.nonzero(keep)
+    at = at if cols is None else cols[rows, at]
+    dist = np.empty(rows.size)
+    pair_step = max(1, _BLOCK_ELEMS // d)
+    for a in range(0, rows.size, pair_step):
+        b = a + pair_step
+        _sum_sq(p[at[a:b]] - q[rows[a:b]], out=dist[a:b])
+    order = np.lexsort((keys[at], dist, rows))
+    return rows[order], at[order], dist[order]
 
 
 def top_k(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:

@@ -43,8 +43,8 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_cutoffs(name, values) -> None:
-    """Refuse an empty list of cutoffs, or one below 1."""
-    if not values:
+    """Refuse an empty list (or array) of cutoffs, or one below 1."""
+    if len(values) == 0:
         raise ValueError(f"{name}_list is empty")
     if (low := min(values)) < 1:
         raise ValueError(f"{name} must be >= 1, got {low}")

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import data_io, encoder
 from .clustering import MAX_ITERS, Centroids, assign_batch, kmeans
-from .core import (_BLOCK_ELEMS, _equal, _first_repeat, _row_ids, _rows,
-                   _sum_sq, pairwise_sq_dists, top_k)
+from .core import (_BLOCK_ELEMS, _equal, _first_repeat, _nearest_k,
+                   _row_ids, _rows, _sum_sq, pairwise_sq_dists, top_k)
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
                      TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
@@ -119,10 +119,11 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
 
     Per block of queries: one encode, one coarse distance matrix and, for PQ,
     one `adc_table` call; each output holds about _BLOCK_ELEMS values at most.
-    Per query: one scoring call over all its candidates. For PQ that is one
-    ADC gather: the query's n_probe tables sit side by side as one (m,
-    n_probe * ksub) table, and a code c from the list probed p-th looks up
-    column p * ksub + c, so each lookup and each sum is the per-list one.
+    Flat scans the block at once (`_scan_flat`). PQ makes one ADC gather per
+    query over all its candidates: the query's n_probe tables sit side by
+    side as one (m, n_probe * ksub) table, and a code c from the list probed
+    p-th looks up column p * ksub + c, so each lookup and each sum is the
+    per-list one.
     """
     for name, value in (("k", k), ("nprobe", nprobe)):
         if value < 1:
@@ -145,25 +146,87 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
         e_q = encoder.encode_batch(model, encoder.QUERY, Q[start:start + step])
         probed = top_k(pairwise_sq_dists(e_q, centers), np.arange(index.nlist),
                        n_probe)
-        if index.variant == PQ:
-            residuals = _residuals(np.repeat(e_q, n_probe, axis=0), centers,
-                                   probed.ravel())
-            tables = adc_table(cb, residuals).reshape(
-                len(e_q), n_probe, cb.m, cb.ksub).transpose(0, 2, 1, 3).reshape(
-                len(e_q), cb.m, n_probe * cb.ksub)
+        if index.variant == FLAT:
+            results += _scan_flat(index, e_q, probed, k)
+            continue
+        residuals = _residuals(np.repeat(e_q, n_probe, axis=0), centers,
+                               probed.ravel())
+        tables = adc_table(cb, residuals).reshape(
+            len(e_q), n_probe, cb.m, cb.ksub).transpose(0, 2, 1, 3).reshape(
+            len(e_q), cb.m, n_probe * cb.ksub)
         for r, probe in enumerate(probed):
             ids = np.concatenate([index.list_ids[j] for j in probe])
-            payload = np.concatenate([index.list_payload[j] for j in probe])
-            if index.variant == FLAT:
-                dists = pairwise_sq_dists(payload, e_q[r:r + 1])[:, 0]
-            else:
-                codes = payload + np.repeat(offsets, sizes[probe])[:, None]
-                dists = adc_distances_batch(tables[r], codes)
+            codes = (np.concatenate([index.list_payload[j] for j in probe])
+                     + np.repeat(offsets, sizes[probe])[:, None])
+            dists = adc_distances_batch(tables[r], codes)
             order = top_k(dists, ids, k)
             results.append(SearchResult(
                 list(zip(ids[order].tolist(), dists[order].tolist())),
                 probe.tolist()))
     return results
+
+
+def _scan_flat(index: IvfIndex, e_q, probed, k: int) -> list[SearchResult]:
+    """The flat list scan of one block of queries e_q, row r probing the
+    lists probed[r]. The union of the block's probed lists is concatenated
+    once, ids and payload in float64. A lone query takes its exact distances
+    and `top_k`. Otherwise the union's squared norms are taken once, and
+    each sub-block of _BLOCK_ELEMS // len(union) queries makes one
+    `core._nearest_k` call, each row cut to its own lists' columns unless
+    every row probes the whole union."""
+    mark = np.zeros(index.nlist, dtype=bool)
+    mark[probed] = True
+    lists = np.flatnonzero(mark)
+    ids = np.concatenate([index.list_ids[j] for j in lists.tolist()])
+    payload = np.concatenate([index.list_payload[j] for j in lists.tolist()],
+                             dtype=np.float64)
+    if len(e_q) == 1:
+        # A lone query has no other row to share the union's norms with,
+        # and they cost what its exact distances do: take those, in place.
+        payload -= e_q
+        dist = _sum_sq(payload)
+        order = top_k(dist, ids, k)
+        return [SearchResult(list(zip(ids[order].tolist(),
+                                      dist[order].tolist())),
+                             probed[0].tolist())]
+    p_sq = _sum_sq(payload)
+    cut = len(lists) > probed.shape[1]
+    if cut:
+        sizes = np.array([len(i) for i in index.list_ids])
+        # the union column of each list's first member
+        first = np.zeros(index.nlist, dtype=np.intp)
+        first[lists] = np.cumsum(sizes[lists]) - sizes[lists]
+    step = max(1, _BLOCK_ELEMS // max(1, len(ids)))
+    results = []
+    for start in range(0, len(e_q), step):
+        probe = probed[start:start + step]
+        cols = _ranges(first[probe], sizes[probe]) if cut else None
+        rows, at, dist = _nearest_k(e_q[start:start + step], payload, p_sq,
+                                    ids, k, cols)
+        found, dist = ids[at].tolist(), dist.tolist()
+        a = 0
+        for count, lists_r in zip(np.bincount(rows, minlength=len(probe)
+                                              ).tolist(), probe.tolist()):
+            b = a + min(count, k)
+            results.append(SearchResult(list(zip(found[a:b], dist[a:b])),
+                                        lists_r))
+            a += count
+    return results
+
+
+def _ranges(first, lens) -> np.ndarray:
+    """An (m, w) int array whose row r holds the ranges first[r, p] +
+    arange(lens[r, p]), p = 0, 1, ..., side by side, padded with -1 to the
+    longest row; first and lens are (m, n_probe)."""
+    ends = np.cumsum(lens, axis=1)
+    width = int(ends[:, -1].max())
+    out = np.full((len(lens), width), -1, dtype=np.intp)
+    head = (np.arange(len(lens))[:, None] * width + ends - lens).ravel()
+    lens = lens.ravel()
+    pos = (np.repeat(head - (np.cumsum(lens) - lens), lens)
+           + np.arange(lens.sum()))
+    out.ravel()[pos] = pos + np.repeat(first.ravel() - head, lens)
+    return out
 
 
 def search(index: IvfIndex, model, query_feature, nprobe: int, k: int) -> SearchResult:

@@ -346,6 +346,112 @@ class TestNearest:
                 < 2 * 20000 * 8 + 4 * core._BLOCK_ELEMS * 8)
 
 
+def _nearest_k_oracle(q, p, keys, k, cols=None):
+    """Per row of q: a full lexsort of its own columns of p (all, or the
+    non-negative entries of cols[r]) by (explicit-kernel distance, key), cut
+    to k, as (columns, distances)."""
+    out = []
+    for r in range(len(q)):
+        own = np.arange(len(p)) if cols is None else cols[r][cols[r] >= 0]
+        d = core.pairwise_sq_dists(p[own], q[r:r + 1])[:, 0]
+        order = np.lexsort((keys[own], d))[:k]
+        out.append((own[order].tolist(), d[order].tolist()))
+    return out
+
+
+class TestNearestK:
+    @staticmethod
+    def _first_k(q, p, keys, k, cols=None):
+        """The first k pairs of each row of `_nearest_k`, as the oracle's."""
+        p = p.astype(np.float64)
+        rows, at, dist = core._nearest_k(q, p, core._sum_sq(p), keys, k, cols)
+        assert np.all(rows[1:] >= rows[:-1])
+        return [(at[rows == r][:k].tolist(), dist[rows == r][:k].tolist())
+                for r in range(len(q))]
+
+    @pytest.mark.parametrize("offset", [1e3, 1e4])
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_one_ulp_gap_at_the_kth_place(self, rng, offset, d):
+        k = 4
+        for _ in range(10):
+            x = offset + rng.normal(size=(1, d))
+            near, far = _one_ulp_pair(x[0])
+            closer = x + 1e-3 * rng.normal(size=(k - 1, d))
+            others = offset + 3.0 + rng.normal(size=(3, d))
+            # far has the lower key: only the exact distance puts near k-th
+            p = np.vstack([closer, far, others, near])
+            exact = core.pairwise_sq_dists(p, x)[:, 0]
+            assert exact[k - 1] == np.nextafter(exact[-1], np.inf)
+            # The expansion identity's rounding error exceeds the one-ulp
+            # gap, so a score alone cannot order the two.
+            identity = (x[0] @ x[0] - 2.0 * (p @ x[0])
+                        + np.einsum("ij,ij->i", p, p))
+            assert np.abs(identity - exact).max() > np.spacing(exact[-1])
+            keys = np.arange(len(p))
+            got = self._first_k(x, p, keys, k)
+            assert got == _nearest_k_oracle(x, p, keys, k)
+            assert got[0][0][-1] == len(p) - 1
+
+    @pytest.mark.parametrize("copy_key", [0, 100])
+    def test_duplicate_rows_under_two_ids_straddle_k(self, rng, copy_key):
+        # The k-th nearest row of query 0 is appended again under another
+        # key: ranks k and k + 1 tie, and the lower key takes the k-th place.
+        k = 5
+        p = rng.normal(size=(40, 8))
+        q = rng.normal(size=(3, 8))
+        kth = int(np.argsort(core.pairwise_sq_dists(p, q[:1])[:, 0])[k - 1])
+        p = np.vstack([p, p[kth]])
+        keys = np.append(np.arange(1, 41), copy_key)
+        got = self._first_k(q, p, keys, k)
+        assert got == _nearest_k_oracle(q, p, keys, k)
+        assert got[0][0][-1] == (40 if copy_key == 0 else kth)
+
+    def test_own_columns_fewer_than_k_and_none(self, rng):
+        p = rng.normal(size=(30, 4))
+        q = rng.normal(size=(4, 4))
+        keys = rng.permutation(30)
+        cols = np.full((4, 12), -1)
+        cols[0] = np.arange(12)
+        cols[1, :3] = [29, 5, 7]
+        cols[3, :8] = np.arange(20, 28)     # row 2 has no column at all
+        for k in (1, 6, 40):
+            got = self._first_k(q, p, keys, k, cols)
+            assert got == _nearest_k_oracle(q, p, keys, k, cols)
+            assert got[2] == ([], [])
+        empty = np.full((2, 0), -1)
+        assert self._first_k(q[:2], p, keys, 3, empty) == [([], [])] * 2
+        assert self._first_k(q, p[:0], keys[:0], 3) == [([], [])] * 4
+
+    def test_overflowing_scores_keep_their_columns(self, rng):
+        # Rows of norm 1e200 score +inf and lie at distance +inf, so with k
+        # past the finite ones they are kept and ordered by key.
+        p = rng.normal(size=(6, 4))
+        p[[1, 4]] = 1e200
+        q = rng.normal(size=(2, 4))
+        keys = np.array([5, 3, 0, 1, 4, 2])
+        for k in (3, 5, 6):
+            assert self._first_k(q, p, keys, k) == \
+                _nearest_k_oracle(q, p, keys, k)
+
+    def test_only_the_k_best_survive_on_generic_data(self, rng):
+        # Distinct distances leave no tie at the k-th place, so the margin
+        # keeps exactly k columns a row (fewer when a row has fewer): a
+        # margin that never cuts fails here.
+        p = rng.normal(size=(500, 16))
+        q = rng.normal(size=(20, 16))
+        cols = np.full((20, 120), -1)
+        for r in range(20):
+            cols[r, :100 + r] = rng.permutation(500)[:100 + r]
+        cols[7, 6:] = -1
+        for c, want in ((None, [10] * 20),
+                        (cols, [10] * 7 + [6] + [10] * 12)):
+            rows, _, _ = core._nearest_k(q, p, core._sum_sq(p),
+                                         np.arange(500), 10, c)
+            assert np.bincount(rows, minlength=20).tolist() == want
+        assert self._first_k(q, p, np.arange(500), 10, cols) == \
+            _nearest_k_oracle(q, p, np.arange(500), 10, cols)
+
+
 class TestTopK:
     def test_equal_distances_in_ascending_key_order(self):
         d = np.array([2.0, 1.0, 1.0, 1.0, 0.5])

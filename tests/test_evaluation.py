@@ -275,6 +275,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="k_list is empty"):
             evaluation.evaluate({0: [1]}, {0: {1: 1}}, [])
 
+    def test_array_cutoffs_are_read_as_the_list(self):
+        run, qrels = {0: [3, 1, 2], 1: [4]}, {0: {1: 1, 2: 1}, 1: {9: 1}}
+        for k_list in ([1, 3], [3, 1, 3], [2]):
+            want = evaluation.evaluate(run, qrels, k_list)
+            got = evaluation.evaluate(run, qrels, np.array(k_list))
+            assert list(got.values.items()) == list(want.values.items())
+        with pytest.raises(ValueError, match="k_list is empty"):
+            evaluation.evaluate(run, qrels, np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            evaluation.evaluate(run, qrels, np.array([2, 0]))
+
 
 class TestNprobeSweep:
     def _setup(self, rng, seed=0):
@@ -332,6 +343,23 @@ class TestNprobeSweep:
         with pytest.raises(ValueError, match=message):
             evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
                                     nprobe_list, k_list)
+        assert m.encode_calls == calls
+
+    def test_array_cutoffs_are_read_as_the_lists(self, rng):
+        m, std, ci, query_ids, queries, qrels = self._setup(rng)
+        want = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                       [1, 4], [3, 1])
+        got = evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                      np.array([1, 4]), np.array([3, 1]))
+        assert list(got.values.items()) == list(want.values.items())
+        assert got.matches == want.matches
+        empty = np.array([], dtype=np.int64)
+        calls = m.encode_calls
+        for nprobe_list, k_list, name in ((empty, np.array([3]), "nprobe"),
+                                          (np.array([1]), empty, "k")):
+            with pytest.raises(ValueError, match=f"{name}_list is empty"):
+                evaluation.nprobe_sweep(std, ci, m, query_ids, queries, qrels,
+                                        nprobe_list, k_list)
         assert m.encode_calls == calls
 
     def test_mismatched_corpora(self, rng):

@@ -346,6 +346,54 @@ class TestSearchBatch:
         assert len(results) == 300
         assert peak - held < 6 * core._BLOCK_ELEMS * 8
 
+    @pytest.mark.parametrize("block_elems", [core._BLOCK_ELEMS, 2000, 20])
+    def test_flat_blocks_equal_the_reference_scan(self, rng, monkeypatch,
+                                                  block_elems):
+        # At 2000 the queries scan in sub-blocks of about eight rows, at 20
+        # in blocks of two queries and sub-blocks of one, with the exact
+        # distances taken two pairs at a time. Each item is stored twice
+        # under two ids, two lists are emptied (so some queries probe only
+        # empty lists at nprobe=1), and k runs past the candidates.
+        monkeypatch.setattr(ivf, "_BLOCK_ELEMS", block_elems)
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", block_elems)
+        m = linear_model(8, 8, seed=5)
+        feats = rng.normal(size=(120, 8)).astype(np.float32)
+        feats = np.concatenate([feats, feats])
+        ids = rng.permutation(1000)[:240].astype(np.uint64)
+        index = ivf.build(m, ids, feats, ivf.CI, ivf.FLAT, 8, make_rng(2))
+        for j in np.argsort([len(i) for i in index.list_ids])[-2:]:
+            index.list_ids[j] = index.list_ids[j][:0]
+            index.list_payload[j] = index.list_payload[j][:0]
+        Q = np.concatenate([rng.normal(size=(40, 8)).astype(np.float32),
+                            feats[:3]])
+        for rows in (Q[:1], Q[-1:], Q[:2], Q):
+            for nprobe, k in ((1, 5), (1, 300), (3, 1), (3, 17), (8, 400)):
+                got = ivf.search_batch(index, m, rows, nprobe, k)
+                want = self._reference_scan(index, m, rows, nprobe, k)
+                assert [(r.ranked, r.probed_clusters) for r in got] == want
+        assert any(not r.ranked for r in ivf.search_batch(index, m, Q, 1, 5))
+
+    def test_flat_memory_does_not_grow_with_the_query_count(self, rng):
+        # 3000 queries make one encode block. Probing 4 of 16 lists, every
+        # sub-block cuts its rows to their own columns; at k=600 every
+        # candidate survives. Beyond the float64 union (600 x 8 x 8 B), each
+        # temporary is one sub-block's worth of _BLOCK_ELEMS values, not
+        # one block's: the block's candidate columns alone would take
+        # 3000 x 150 x 8 B = 3.6 MB.
+        m = linear_model(8, 8, seed=2)
+        index = ivf.build(m, *make_items(rng, 600, 8), ivf.CI, ivf.FLAT, 16,
+                          make_rng(0))
+        Q = rng.normal(size=(3000, 8)).astype(np.float32)
+        for rows, nprobe, k in ((Q, 4, 3), (Q, 16, 3), (Q[:300], 4, 600)):
+            tracemalloc.start()
+            try:
+                results = ivf.search_batch(index, m, rows, nprobe, k)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(results) == len(rows)
+            assert peak - held < 6 * core._BLOCK_ELEMS * 8 + 600 * 8 * 8
+
 
 class TestSerialization:
     def test_flat_round_trip(self, rng, tmp_path):
