@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _equal, _rows, _sum_sq, nearest, pairwise_sq_dists
+from .core import (_check_count, _equal, _rows, _sum_sq, nearest,
+                   pairwise_sq_dists)
 from .errors import TooFewPoints
 
 MAX_ITERS = 25
@@ -56,8 +57,7 @@ def kmeans(vectors, k: int, rng) -> Centroids:
     """Cluster into exactly k centers; inertia is non-increasing per iteration."""
     x = _rows(vectors, "vectors")
     n = x.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k)
     if n < k:
         raise TooFewPoints(f"{n} vectors for k={k}")
     x64 = x.astype(np.float64)

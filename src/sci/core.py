@@ -7,15 +7,15 @@ Vectors and matrices are plain numpy float32 arrays. All reductions are
 performed in float64 so results do not drift with vector length. Every k-means
 assignment, PQ encode, coarse probe, list scan and exact search selects through
 `nearest` (ties to the lowest index), `top_k` (ties by ascending key) or, for a
-block of queries scanning flat lists, `_nearest_k` (`top_k`'s rule, scored like
-`nearest`).
+block of two or more flat queries, `_nearest_k` (`top_k`'s rule over each row's
+own columns, scored like `nearest`).
 `top_k` of one 1-D array sorts only the entries at or below its k-th smallest
 value, found by one partition; rows of a matrix take one full sort.
 `nearest` scores each block of _BLOCK_ELEMS // max(k, d) rows with one
 centre-major matrix product, so per-row reductions run down contiguous rows;
 an exact 0/1 count/index product names each row's single kept centre, only
-tied rows are reranked, and every distance is recomputed with the exact
-arithmetic: its outputs are those of an argmin over `pairwise_sq_dists`.
+tied rows are reranked (`_pair_sq`, which also reranks `_nearest_k`), and every
+distance is recomputed exactly: the outputs of an argmin over the kernel.
 """
 
 from __future__ import annotations
@@ -76,6 +76,17 @@ def _rows(x, name: str, width: int | None = None,
         raise DimensionMismatch(f"{name} have shape {a.shape}, not rows of "
                                 f"width {want}")
     return a
+
+
+def _check_count(name: str, value) -> None:
+    """The package's one rule for a count (k, nprobe, nlist, an evaluation
+    cutoff): an integer, numpy's included, of at least 1. A bool or any
+    other type is refused, not read as a number. Raises ValueError naming
+    the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _row_ids(ids, x: np.ndarray, name: str) -> np.ndarray:
@@ -191,10 +202,9 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       term is 0 or an integer below k, so every partial sum is an integer
       of at most k(k - 1)/2, below 2^53 for any k under 2^26.
     - Rerank. Only rows that keep more than one centre (ties, duplicate
-      centres, NaN) recompute their kept pairs with `_sum_sq` on aligned
-      gathers x[r] - c[j]; the lowest index among the exact minima wins, as
-      in argmin. Every row's distance is then `_sum_sq(x - c[best])`, the
-      same per-pair arithmetic.
+      centres, NaN) recompute their kept pairs (`_pair_sq`); the lowest
+      index among the exact minima wins, as in argmin. Every row's distance
+      is then `_sum_sq(x - c[best])`, the same per-pair arithmetic.
 
     A block holds _BLOCK_ELEMS // max(k, d) rows (at least one), so the
     score block and the final gather each hold at most max(_BLOCK_ELEMS, k,
@@ -212,7 +222,6 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count_index = np.vstack((np.ones(k), np.arange(k)))
     total = np.array([[k], [k * (k - 1) // 2]])
     step = max(1, _BLOCK_ELEMS // max(1, k, d))
-    pair_step = max(1, _BLOCK_ELEMS // max(1, d))
     idx = np.empty(n, dtype=np.intp)
     dist = np.empty(n)
     for start in range(0, n, step):
@@ -228,19 +237,26 @@ def nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if ties.size:
             cols, rows = np.nonzero(s[:, ties] == 0.0)
             exact = np.full((ties.size, k), np.inf)
-            # All pairs of a block can tie (duplicate centres), so the gathers
-            # are cut to one difference tensor's worth of elements at a time.
-            for p in range(0, rows.size, pair_step):
-                r, j = rows[p:p + pair_step], cols[p:p + pair_step]
-                exact[r, j] = _sum_sq(xb[ties[r]] - c[j])
+            exact[rows, cols] = _pair_sq(xb, ties[rows], c, cols)
             best[ties] = np.argmin(exact, axis=1)
         idx[start:start + step] = best
         _sum_sq(xb - c[best], out=dist[start:start + step])
     return idx, dist
 
 
+def _pair_sq(a, ia, b, ib) -> np.ndarray:
+    """`_sum_sq(a[ia] - b[ib])`, the rerank of `nearest` and `_nearest_k`.
+    Every pair of a block can be kept (duplicate rows), so the gathers take
+    _BLOCK_ELEMS // d pairs at a time."""
+    out = np.empty(len(ia))
+    step = max(1, _BLOCK_ELEMS // max(1, a.shape[1]))
+    for i in range(0, len(ia), step):
+        _sum_sq(a[ia[i:i + step]] - b[ib[i:i + step]], out=out[i:i + step])
+    return out
+
+
 def _nearest_k(q: np.ndarray, p: np.ndarray, p_sq: np.ndarray,
-               keys: np.ndarray, k: int, cols: np.ndarray | None = None
+               keys: np.ndarray, k: int, cols: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (row r of q, row j of p) pair that can be among row r's k
     nearest by (squared L2, key), as arrays (r, j, exact distance) sorted by
@@ -248,9 +264,8 @@ def _nearest_k(q: np.ndarray, p: np.ndarray, p_sq: np.ndarray,
     row are `top_k` over the `_sum_sq(p_j - q_r)` of its columns, bitwise.
 
     q (m, d); p (n, d) float64 with p_sq = _sum_sq(p); keys (n,) holds the
-    key of each row of p; cols, if given, (m, w) ints: the columns of p row
-    r may take, padded with -1 (all n columns when None). This is
-    `nearest`'s rule in k-select form:
+    key of each row of p; cols (m, w) ints: the columns of p row r may take,
+    padded with -1. This is `nearest`'s rule in k-select form:
 
     - Score. One product gives -2 q·p, shape (m, n); cut to each row's own
       columns (padding at +inf), it gains p_sq: s = p_sq - 2 q·p.
@@ -260,37 +275,26 @@ def _nearest_k(q: np.ndarray, p: np.ndarray, p_sq: np.ndarray,
       ranks k + 1 or later whatever its key. Every other column is kept.
       NaN never compares greater, so a NaN score keeps its column, and a row
       whose t̂ is NaN or +inf (fewer than k columns) keeps all of them.
-    - Rerank. Each kept pair's distance is `_sum_sq` of the aligned gather
-      p_j - q_r, the per-pair arithmetic of `pairwise_sq_dists`, in chunks
-      of _BLOCK_ELEMS // d pairs, and one lexsort orders the pairs.
+    - Rerank. Each kept pair's distance is `_pair_sq` of p_j and q_r, and
+      one lexsort orders the pairs.
 
     Besides p, every temporary holds O(m·n) values.
     """
     q = q.astype(np.float64, copy=False)
-    d = q.shape[1]
-    s = (-2.0 * q) @ p.T
-    if cols is None:
-        s += p_sq
-    else:
-        pad = cols < 0
-        s = np.take_along_axis(s, cols, axis=1) + p_sq[cols]
-        s[pad] = np.inf
+    pad = cols < 0
+    s = np.take_along_axis((-2.0 * q) @ p.T, cols, axis=1) + p_sq[cols]
+    s[pad] = np.inf
     if s.shape[1] == 0:
         none = np.empty(0, dtype=np.intp)
         return none, none, np.empty(0)
     kth = min(k, s.shape[1]) - 1
     lim = np.partition(s, kth, axis=1)[:, kth:kth + 1]
-    lim += _margin(np.sqrt(_sum_sq(q).max()), np.sqrt(p_sq.max()), d)
+    lim += _margin(np.sqrt(_sum_sq(q).max()), np.sqrt(p_sq.max()), q.shape[1])
     keep = ~(s > lim)
-    if cols is not None:
-        keep[pad] = False
+    keep[pad] = False
     rows, at = np.nonzero(keep)
-    at = at if cols is None else cols[rows, at]
-    dist = np.empty(rows.size)
-    pair_step = max(1, _BLOCK_ELEMS // d)
-    for a in range(0, rows.size, pair_step):
-        b = a + pair_step
-        _sum_sq(p[at[a:b]] - q[rows[a:b]], out=dist[a:b])
+    at = cols[rows, at]
+    dist = _pair_sq(p, at, q, rows)
     order = np.lexsort((keys[at], dist, rows))
     return rows[order], at[order], dist[order]
 

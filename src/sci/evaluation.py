@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ivf
-from .core import _row_ids, _rows, pairwise_sq_dists, top_k
+from .core import _check_count, _row_ids, _rows, pairwise_sq_dists, top_k
 from .errors import MismatchedCorpora
 
 METRICS = ("precision", "recall", "mrr", "ndcg")
@@ -27,8 +27,7 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (ids, dists) arrays of shape (nq, min(k, n)).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k)
     X = _rows(X, "item features X")
     ids = _row_ids(ids, X, "X")
     Q = _rows(Q, "queries Q", X.shape[1])
@@ -43,11 +42,12 @@ def brute_force_search(ids, X, Q, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_cutoffs(name, values) -> None:
-    """Refuse an empty list (or array) of cutoffs, or one below 1."""
+    """Refuse an empty list (or array) of cutoffs, or one that fails the
+    count rule (`core._check_count`)."""
     if len(values) == 0:
         raise ValueError(f"{name}_list is empty")
-    if (low := min(values)) < 1:
-        raise ValueError(f"{name} must be >= 1, got {low}")
+    for value in values:
+        _check_count(name, value)
 
 
 @dataclass

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import data_io, encoder
 from .clustering import MAX_ITERS, Centroids, assign_batch, kmeans
-from .core import (_BLOCK_ELEMS, _equal, _first_repeat, _nearest_k,
-                   _row_ids, _rows, _sum_sq, pairwise_sq_dists, top_k)
+from .core import (_BLOCK_ELEMS, _check_count, _equal, _first_repeat,
+                   _nearest_k, _row_ids, _rows, _sum_sq, pairwise_sq_dists,
+                   top_k)
 from .errors import (CorruptIndex, DimensionMismatch, DuplicateItem,
                      TooFewPoints)
 from .quantization import (PqCodebook, adc_distances_batch, adc_table,
@@ -74,8 +75,7 @@ def build(model, ids, X, mode: str, variant: str, nlist: int, rng,
         raise ValueError(f"unknown variant {variant!r}")
     if residual_space not in (RESIDUAL_REPR, RESIDUAL_STRUCT):
         raise ValueError(f"unknown residual_space {residual_space!r}")
-    if nlist < 1:
-        raise ValueError(f"nlist must be >= 1, got {nlist}")
+    _check_count("nlist", nlist)
     X = _rows(X, "item features X")
     ids = _row_ids(ids, X, "X")
     if (pos := _first_repeat(ids)) is not None:
@@ -119,15 +119,14 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
 
     Per block of queries: one encode, one coarse distance matrix and, for PQ,
     one `adc_table` call; each output holds about _BLOCK_ELEMS values at most.
-    Flat scans the block at once (`_scan_flat`). PQ makes one ADC gather per
-    query over all its candidates: the query's n_probe tables sit side by
-    side as one (m, n_probe * ksub) table, and a code c from the list probed
-    p-th looks up column p * ksub + c, so each lookup and each sum is the
-    per-list one.
+    A flat block of two or more queries is scanned at once (`_scan_flat`).
+    Any other query gathers its probed lists in probe order, scores them in
+    one call (exact distances, or one ADC gather: its n_probe tables side by
+    side as one (m, n_probe * ksub) table, where a code c from the list
+    probed p-th looks up column p * ksub + c) and takes `top_k`.
     """
-    for name, value in (("k", k), ("nprobe", nprobe)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_count("k", k)
+    _check_count("nprobe", nprobe)
     Q = _rows(Q, "queries Q")
     if model.output_dim != index.dim:
         raise DimensionMismatch(f"model output_dim {model.output_dim} != "
@@ -135,10 +134,11 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
     n_probe = min(nprobe, index.nlist)
     centers = index.centroids.centers
     cb = index.codebook
+    sizes = np.fromiter(map(len, index.list_ids), np.intp, index.nlist)
+    flat = index.variant == FLAT
     width = max(index.nlist, index.dim)
-    if index.variant == PQ:
+    if not flat:
         width = max(width, n_probe * cb.m * cb.ksub)
-        sizes = np.array([len(ids) for ids in index.list_ids])
         offsets = np.arange(n_probe) * cb.ksub
     step = max(1, _BLOCK_ELEMS // width)
     results = []
@@ -146,61 +146,52 @@ def search_batch(index: IvfIndex, model, Q, nprobe: int,
         e_q = encoder.encode_batch(model, encoder.QUERY, Q[start:start + step])
         probed = top_k(pairwise_sq_dists(e_q, centers), np.arange(index.nlist),
                        n_probe)
-        if index.variant == FLAT:
-            results += _scan_flat(index, e_q, probed, k)
+        if flat and len(e_q) > 1:
+            results += _scan_flat(index, e_q, probed, k, sizes)
             continue
-        residuals = _residuals(np.repeat(e_q, n_probe, axis=0), centers,
-                               probed.ravel())
-        tables = adc_table(cb, residuals).reshape(
-            len(e_q), n_probe, cb.m, cb.ksub).transpose(0, 2, 1, 3).reshape(
-            len(e_q), cb.m, n_probe * cb.ksub)
-        for r, probe in enumerate(probed):
+        if not flat:
+            residuals = _residuals(np.repeat(e_q, n_probe, axis=0), centers,
+                                   probed.ravel())
+            tables = adc_table(cb, residuals).reshape(
+                len(e_q), n_probe, cb.m, cb.ksub).transpose(0, 2, 1, 3)
+            tables = tables.reshape(len(e_q), cb.m, n_probe * cb.ksub)
+        for r, probe in enumerate(probed.tolist()):
             ids = np.concatenate([index.list_ids[j] for j in probe])
-            codes = (np.concatenate([index.list_payload[j] for j in probe])
-                     + np.repeat(offsets, sizes[probe])[:, None])
-            dists = adc_distances_batch(tables[r], codes)
+            payload = np.concatenate([index.list_payload[j] for j in probe],
+                                     dtype=np.float64 if flat else None)
+            if flat:
+                payload -= e_q[r]
+                dists = _sum_sq(payload)
+            else:
+                dists = adc_distances_batch(tables[r], payload + np.repeat(
+                    offsets, sizes[probe])[:, None])
             order = top_k(dists, ids, k)
             results.append(SearchResult(
-                list(zip(ids[order].tolist(), dists[order].tolist())),
-                probe.tolist()))
+                list(zip(ids[order].tolist(), dists[order].tolist())), probe))
     return results
 
 
-def _scan_flat(index: IvfIndex, e_q, probed, k: int) -> list[SearchResult]:
-    """The flat list scan of one block of queries e_q, row r probing the
-    lists probed[r]. The union of the block's probed lists is concatenated
-    once, ids and payload in float64. A lone query takes its exact distances
-    and `top_k`. Otherwise the union's squared norms are taken once, and
-    each sub-block of _BLOCK_ELEMS // len(union) queries makes one
-    `core._nearest_k` call, each row cut to its own lists' columns unless
-    every row probes the whole union."""
+def _scan_flat(index: IvfIndex, e_q, probed, k: int, sizes) -> list:
+    """The flat list scan of a block of two or more queries e_q, row r
+    probing the lists probed[r], of lengths sizes. The union of the block's
+    probed lists is concatenated once, ids and payload in float64, with its
+    squared norms. Each sub-block of _BLOCK_ELEMS // len(union) queries makes
+    one `core._nearest_k` call, each row cut to its own lists' columns."""
     mark = np.zeros(index.nlist, dtype=bool)
     mark[probed] = True
     lists = np.flatnonzero(mark)
     ids = np.concatenate([index.list_ids[j] for j in lists.tolist()])
     payload = np.concatenate([index.list_payload[j] for j in lists.tolist()],
                              dtype=np.float64)
-    if len(e_q) == 1:
-        # A lone query has no other row to share the union's norms with,
-        # and they cost what its exact distances do: take those, in place.
-        payload -= e_q
-        dist = _sum_sq(payload)
-        order = top_k(dist, ids, k)
-        return [SearchResult(list(zip(ids[order].tolist(),
-                                      dist[order].tolist())),
-                             probed[0].tolist())]
     p_sq = _sum_sq(payload)
-    cut = len(lists) > probed.shape[1]
-    if cut:
-        sizes = np.array([len(i) for i in index.list_ids])
-        # the union column of each list's first member
-        first = np.zeros(index.nlist, dtype=np.intp)
-        first[lists] = np.cumsum(sizes[lists]) - sizes[lists]
+    # the union column of each list's first member
+    first = np.zeros(index.nlist, dtype=np.intp)
+    first[lists] = np.cumsum(sizes[lists]) - sizes[lists]
     step = max(1, _BLOCK_ELEMS // max(1, len(ids)))
     results = []
     for start in range(0, len(e_q), step):
         probe = probed[start:start + step]
-        cols = _ranges(first[probe], sizes[probe]) if cut else None
+        cols = _ranges(first[probe], sizes[probe])
         rows, at, dist = _nearest_k(e_q[start:start + step], payload, p_sq,
                                     ids, k, cols)
         found, dist = ids[at].tolist(), dist.tolist()

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ def child_env(preset):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sci.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def count_message(name, value):
+    """The pattern of the error that refuses `value` as the count `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        return f"{name} must be an integer, got {re.escape(repr(value))}$"
+    return f"{name} must be >= 1, got {value}$"
 
 
 @pytest.fixture

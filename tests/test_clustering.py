@@ -5,6 +5,8 @@ from sci import clustering
 from sci.core import make_rng, pairwise_sq_dists
 from sci.errors import DimensionMismatch, TooFewPoints
 
+from conftest import count_message
+
 
 def lloyd_oracle(x, k, rng, iters=50):
     """Plain Lloyd from a random-subset init, for inertia comparison."""
@@ -127,9 +129,9 @@ class TestKmeans:
         if case == "duplicates":
             assert repairs > 0
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, True, 2.5, "3"])
     def test_k_below_one(self, k):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match=count_message("k", k)):
             clustering.kmeans(np.zeros((3, 2), dtype=np.float32), k,
                               rng=make_rng(0))
 

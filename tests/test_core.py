@@ -192,7 +192,8 @@ def _one_ulp_pair(x):
 
 
 class TestNearest:
-    def test_duplicate_centres_go_to_the_lowest_index(self, rng):
+    def test_duplicate_centres_go_to_the_lowest_index(self, rng,
+                                                       monkeypatch):
         x = rng.normal(size=(50, 4))
         c = rng.normal(size=(5, 4))
         c[3] = c[1]
@@ -201,6 +202,13 @@ class TestNearest:
         assert not np.isin(idx, [3, 4]).any()
         near_1 = core.nearest(c[[1]], c)[0]
         assert near_1.tolist() == [1]
+        # Rows planted on the duplicates tie three ways; at 4 elements a
+        # block the rerank takes one pair at a time.
+        x[::5] = c[1]
+        want = _argmin_oracle(x, c)
+        monkeypatch.setattr(core, "_BLOCK_ELEMS", 4)
+        for got, expected in zip(core.nearest(x, c), want):
+            assert np.array_equal(got, expected)
 
     def test_matches_argmin_oracle(self, rng):
         for _ in range(10):
@@ -359,9 +367,14 @@ def _nearest_k_oracle(q, p, keys, k, cols=None):
     return out
 
 
+def _all_columns(m, n):
+    """cols for m rows that may each take every one of n columns."""
+    return np.tile(np.arange(n), (m, 1))
+
+
 class TestNearestK:
     @staticmethod
-    def _first_k(q, p, keys, k, cols=None):
+    def _first_k(q, p, keys, k, cols):
         """The first k pairs of each row of `_nearest_k`, as the oracle's."""
         p = p.astype(np.float64)
         rows, at, dist = core._nearest_k(q, p, core._sum_sq(p), keys, k, cols)
@@ -388,7 +401,7 @@ class TestNearestK:
                         + np.einsum("ij,ij->i", p, p))
             assert np.abs(identity - exact).max() > np.spacing(exact[-1])
             keys = np.arange(len(p))
-            got = self._first_k(x, p, keys, k)
+            got = self._first_k(x, p, keys, k, _all_columns(1, len(p)))
             assert got == _nearest_k_oracle(x, p, keys, k)
             assert got[0][0][-1] == len(p) - 1
 
@@ -402,7 +415,7 @@ class TestNearestK:
         kth = int(np.argsort(core.pairwise_sq_dists(p, q[:1])[:, 0])[k - 1])
         p = np.vstack([p, p[kth]])
         keys = np.append(np.arange(1, 41), copy_key)
-        got = self._first_k(q, p, keys, k)
+        got = self._first_k(q, p, keys, k, _all_columns(3, 41))
         assert got == _nearest_k_oracle(q, p, keys, k)
         assert got[0][0][-1] == (40 if copy_key == 0 else kth)
 
@@ -420,18 +433,23 @@ class TestNearestK:
             assert got[2] == ([], [])
         empty = np.full((2, 0), -1)
         assert self._first_k(q[:2], p, keys, 3, empty) == [([], [])] * 2
-        assert self._first_k(q, p[:0], keys[:0], 3) == [([], [])] * 4
+        assert self._first_k(q, p[:0], keys[:0], 3, _all_columns(4, 0)) == \
+            [([], [])] * 4
 
-    def test_overflowing_scores_keep_their_columns(self, rng):
+    def test_overflowing_scores_keep_their_columns(self, rng, monkeypatch):
         # Rows of norm 1e200 score +inf and lie at distance +inf, so with k
-        # past the finite ones they are kept and ordered by key.
+        # past the finite ones they are kept and ordered by key. At k=6
+        # every pair survives; at 4 elements a block the rerank takes one
+        # pair at a time.
         p = rng.normal(size=(6, 4))
         p[[1, 4]] = 1e200
         q = rng.normal(size=(2, 4))
         keys = np.array([5, 3, 0, 1, 4, 2])
-        for k in (3, 5, 6):
-            assert self._first_k(q, p, keys, k) == \
-                _nearest_k_oracle(q, p, keys, k)
+        for block_elems in (core._BLOCK_ELEMS, 4):
+            monkeypatch.setattr(core, "_BLOCK_ELEMS", block_elems)
+            for k in (3, 5, 6):
+                assert self._first_k(q, p, keys, k, _all_columns(2, 6)) == \
+                    _nearest_k_oracle(q, p, keys, k)
 
     def test_only_the_k_best_survive_on_generic_data(self, rng):
         # Distinct distances leave no tie at the k-th place, so the margin
@@ -443,7 +461,7 @@ class TestNearestK:
         for r in range(20):
             cols[r, :100 + r] = rng.permutation(500)[:100 + r]
         cols[7, 6:] = -1
-        for c, want in ((None, [10] * 20),
+        for c, want in ((_all_columns(20, 500), [10] * 20),
                         (cols, [10] * 7 + [6] + [10] * 12)):
             rows, _, _ = core._nearest_k(q, p, core._sum_sq(p),
                                          np.arange(500), 10, c)
@@ -565,6 +583,20 @@ def test_sums_of_squares_live_only_in_sum_sq():
         and node.func.attr == "einsum" and len(node.args) == 3
         and ast.dump(node.args[1]) == ast.dump(node.args[2])
     ) == {("core.py", "_sum_sq")}
+
+
+def test_exact_pair_reranks_live_only_in_pair_sq():
+    # `_sum_sq` of a difference of two gathered (subscripted) arrays is the
+    # exact rerank of chosen pairs. Only _pair_sq may take one, so `nearest`
+    # and `_nearest_k` share its chunking and a third copy fails here.
+    assert _functions_with(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "_sum_sq"
+        and node.args and isinstance(node.args[0], ast.BinOp)
+        and isinstance(node.args[0].op, ast.Sub)
+        and isinstance(node.args[0].left, ast.Subscript)
+        and isinstance(node.args[0].right, ast.Subscript)
+    ) == {("core.py", "_pair_sq")}
 
 
 def test_array_shapes_are_read_only_in_the_shape_rule():

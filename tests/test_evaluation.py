@@ -9,7 +9,7 @@ from sci import encoder, evaluation, ivf
 from sci.core import make_rng
 from sci.errors import DimensionMismatch, MismatchedCorpora
 
-from conftest import linear_model
+from conftest import count_message, linear_model
 
 
 class TestBruteForceSearch:
@@ -38,10 +38,10 @@ class TestBruteForceSearch:
         oracle = sorted(range(1000), key=lambda i: (d[i], i))[:10]
         assert ids[0].tolist() == oracle
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, True, 2.5, "3"])
     def test_k_below_one(self, rng, k):
         feats = rng.normal(size=(10, 3)).astype(np.float32)
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match=count_message("k", k)):
             evaluation.brute_force_search(np.arange(10), feats, feats[:1], k)
 
     def test_tie_break_by_id(self):
@@ -159,13 +159,13 @@ class TestNdcg:
 class TestCutoffValidation:
     @pytest.mark.parametrize("metric", evaluation.METRICS,
                              ids=lambda metric: f"{metric}_at_k")
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, True, 2.5, "3"])
     def test_k_below_one_rejected(self, metric, k):
         run, qrels = {0: [1, 2]}, {0: {1: 1}}
         assert _value(run, qrels, metric, 1) == 1.0
         # a bad cutoff anywhere in the list, also after a good one
         for k_list in ([k], [1, k]):
-            with pytest.raises(ValueError, match="k must be >= 1"):
+            with pytest.raises(ValueError, match=count_message("k", k)):
                 evaluation.evaluate(run, qrels, k_list)
 
 

@@ -10,7 +10,7 @@ from sci.core import make_rng
 from sci.errors import (CorruptFile, CorruptIndex, DimensionMismatch,
                         DuplicateItem, TooFewPoints)
 
-from conftest import clone_model, linear_model
+from conftest import clone_model, count_message, linear_model
 
 
 def make_items(rng, n, dim):
@@ -147,10 +147,10 @@ class TestBuild:
             ivf.build(m, *make_items(rng, 3, 4), ivf.STANDARD, ivf.FLAT, 8,
                       make_rng(0))
 
-    @pytest.mark.parametrize("nlist", [0, -3])
+    @pytest.mark.parametrize("nlist", [0, -3, True, 2.5, "3"])
     def test_nlist_below_one(self, rng, nlist):
         m = linear_model(4, 4)
-        with pytest.raises(ValueError, match=f">= 1, got {nlist}"):
+        with pytest.raises(ValueError, match=count_message("nlist", nlist)):
             ivf.build(m, *make_items(rng, 10, 4), ivf.STANDARD, ivf.FLAT,
                       nlist, make_rng(0))
         assert m.encode_calls == 0
@@ -234,10 +234,12 @@ class TestSearch:
         m = linear_model(4, 4)
         index = ivf.build(m, *make_items(rng, 20, 4), ivf.CI, ivf.FLAT, 2,
                           make_rng(0))
-        with pytest.raises(ValueError):
-            ivf.search(index, m, np.zeros(4, dtype=np.float32), 0, 5)
-        with pytest.raises(ValueError):
-            ivf.search(index, m, np.zeros(4, dtype=np.float32), 1, 0)
+        for bad in (0, True, 2.5, "3"):
+            for name, nprobe, k in (("nprobe", bad, 5), ("k", 1, bad)):
+                with pytest.raises(ValueError,
+                                   match=count_message(name, bad)):
+                    ivf.search(index, m, np.zeros(4, dtype=np.float32),
+                               nprobe, k)
 
 
 class TestSearchBatch:
@@ -253,11 +255,11 @@ class TestSearchBatch:
     @pytest.mark.parametrize("block_elems", [core._BLOCK_ELEMS, 40])
     def test_rows_equal_single_query_search(self, rng, monkeypatch,
                                             block_elems):
-        # A small block puts several blocks, and a partial last one, in a
-        # batch of 25 queries.
+        # A small block puts several blocks in a batch of 26 queries; at 40
+        # the flat ones hold five queries, and the last holds a lone one.
         monkeypatch.setattr(ivf, "_BLOCK_ELEMS", block_elems)
         m, flat, pq = self._indexes(rng)
-        Q = rng.normal(size=(25, 6)).astype(np.float32)
+        Q = rng.normal(size=(26, 6)).astype(np.float32)
         for index in (flat, pq):
             for empty in (False, True):
                 if empty:
