@@ -19,10 +19,8 @@ print(f"benchmark: {len(data.item_ids)} items, {len(data.query_ids)} queries, "
       f"dim {data.item_features.shape[1]}, rotation misalignment 0.8 rad")
 
 base = encoder.init("linear", 16, 16, make_rng(1000 + SEED))
-# (query, first relevant item) pairs as two aligned feature arrays
-q_rows = sorted(data.qrels)
-pairs = (data.query_features[q_rows],
-         data.item_features[[min(data.qrels[q]) for q in q_rows]])
+# (query row, first relevant item row) pairs; ids are rows
+pairs = np.array([(q, min(data.qrels[q])) for q in sorted(data.qrels)])
 pool = np.concatenate([data.query_features, data.item_features[:200]])
 
 models = {}
@@ -43,7 +41,8 @@ for lam in (0.3, 0.0):
 
 print("\ndiagnostics after training:")
 print(f"{'':24s}{'lambda=0.3':>12s}{'lambda=0':>12s}")
-reports = {lam: diagnostics.diagnose(m, *pairs, pool)
+reports = {lam: diagnostics.diagnose(m, data.query_features,
+                                     data.item_features, pairs, pool)
            for lam, m in models.items()}
 rows = [
     ("alignment error", lambda r: r["alignment_error"]),

@@ -183,11 +183,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _equal_count_pool(queries, items):
-    n = min(len(queries), len(items))
-    return np.concatenate([queries[:n], items[:n]])
-
-
 def _cmd_diagnose(args) -> int:
     model = data_io.load_model(args.model)
     items, item_ids = data_io.read_vectors(
@@ -203,8 +198,10 @@ def _cmd_diagnose(args) -> int:
             if grade >= 1 and qid in qid_to_row and item in id_to_row:
                 q_rows.append(qid_to_row[qid])
                 i_rows.append(id_to_row[item])
-    report = diagnostics.diagnose(model, queries[q_rows], items[i_rows],
-                                  _equal_count_pool(queries, items))
+    n = min(len(queries), len(items))  # the pool: as many of each kind
+    report = diagnostics.diagnose(model, queries, items,
+                                  np.array((q_rows, i_rows), dtype=np.intp).T,
+                                  np.concatenate([queries[:n], items[:n]]))
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -78,13 +78,18 @@ def _rows(x, name: str, width: int | None = None,
     return a
 
 
-def _check_count(name: str, value) -> None:
-    """The package's one rule for a count (k, nprobe, nlist, an evaluation
-    cutoff): an integer, numpy's included, of at least 1. A bool or any
-    other type is refused, not read as a number. Raises ValueError naming
-    the argument."""
+def _check_int(name: str, value) -> None:
+    """The type half of the count rule: an integer, numpy's included; a bool
+    or any other type is refused, not read as a number. Raises ValueError
+    naming the argument."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """The package's one rule for a count (k, nprobe, nlist, an evaluation
+    cutoff): `_check_int`, then at least 1, each refusal a ValueError."""
+    _check_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 

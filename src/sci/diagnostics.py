@@ -4,7 +4,7 @@
 swapped cross-tower similarities), ground-truth pair similarity statistics,
 and `anisotropy`: covariance condition numbers (from the eigenvalues
 `numpy.linalg.eigvalsh` returns) and covariance compatibility (relative
-Frobenius gap).
+Frobenius gap). A pair is a (query row, item row) index into two row arrays.
 """
 
 from __future__ import annotations
@@ -15,29 +15,20 @@ from . import encoder
 from .core import _rows
 from .errors import DimensionMismatch
 
-# Pairs encoded per block. A bounded working set keeps the allocator from
-# handing a call's few MB of float64 temporaries back to the OS and
-# page-faulting them in again on the next call.
+# Pairs scored per block: a bounded working set of gathered float64 rows keeps
+# the allocator from handing pages back to the OS and faulting them in again.
 _PAIR_ROWS = 1024
 
 EPS_DEFAULT = 1e-12  # floor on the smallest eigenvalue in a condition number
 
 
-def _similarities(model, queries, items, tower_q, tower_i) -> np.ndarray:
-    """Row-wise S(f_tower_q(queries[r]), f_tower_i(items[r])) over two aligned
-    (n, d) pair arrays, in float64."""
-    if len(queries) == 0:
-        raise ValueError("empty pair list")
-    qs, its = _rows(queries, "queries"), _rows(items, "items")
-    if qs.shape != its.shape:
-        raise DimensionMismatch(
-            f"query rows {qs.shape} do not line up with item rows {its.shape}")
-    out = np.empty(len(qs))
-    for start in range(0, len(qs), _PAIR_ROWS):
+def _similarities(a, b, pairs) -> np.ndarray:
+    """Row-wise a[q] . b[i] in float64 over each pair (q, i) of encoded rows."""
+    out = np.empty(len(pairs))
+    for start in range(0, len(pairs), _PAIR_ROWS):
         rows = slice(start, start + _PAIR_ROWS)
-        a = encoder.encode_batch(model, tower_q, qs[rows]).astype(np.float64)
-        b = encoder.encode_batch(model, tower_i, its[rows]).astype(np.float64)
-        np.einsum("ij,ij->i", a, b, out=out[rows])
+        np.einsum("ij,ij->i", a[pairs[rows, 0]].astype(np.float64),
+                  b[pairs[rows, 1]].astype(np.float64), out=out[rows])
     return out
 
 
@@ -66,13 +57,24 @@ def anisotropy(model, inputs) -> dict:
     return {"cond_q": cond(cov_q), "cond_i": cond(cov_i), "cov_fro_gap": gap}
 
 
-def diagnose(model, queries, items, inputs) -> dict:
+def diagnose(model, queries, items, pairs, inputs) -> dict:
     """The `diagnose` CLI subcommand's JSON document: alignment error and
-    similarity statistics over the pairs (queries[r], items[r]), plus the
-    `anisotropy` of the pooled inputs. The median is the lower middle element
-    for even counts."""
-    direct = _similarities(model, queries, items, encoder.QUERY, encoder.ITEM)
-    swapped = _similarities(model, queries, items, encoder.ITEM, encoder.QUERY)
+    similarity statistics over (queries[q], items[i]) for each row (q, i) of
+    `pairs`, an (n >= 1, 2) integer array, plus the `anisotropy` of the pooled
+    inputs. The median is the lower middle element for even counts."""
+    q_q = encoder.encode_batch(model, encoder.QUERY, queries)
+    q_i = encoder.encode_batch(model, encoder.ITEM, queries)
+    i_q = encoder.encode_batch(model, encoder.QUERY, items)
+    i_i = encoder.encode_batch(model, encoder.ITEM, items)
+    pairs = _rows(pairs, "pairs", 2, None)
+    if len(pairs) == 0:
+        raise ValueError("empty pair list")
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"pairs must be integer rows, got dtype {pairs.dtype}")
+    if np.any((pairs < 0) | (pairs >= (len(q_q), len(i_i)))):
+        raise DimensionMismatch(f"pairs name rows outside ({len(q_q)}, {len(i_i)})")
+    direct = _similarities(q_q, i_i, pairs)
+    swapped = _similarities(q_i, i_q, pairs)
     sims = np.sort(direct)
     return {
         "alignment_error": float(np.mean((direct - swapped) ** 2)),

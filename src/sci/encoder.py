@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _equal, _rows, as_f32, row_normalize
+from .core import _check_int, _equal, _rows, as_f32, row_normalize
 
 LINEAR = "linear"
 MLP1 = "mlp1"
@@ -42,10 +42,13 @@ class DualTowerModel:
     def layout(arch: str, input_dim: int, output_dim: int,
                hidden_dim: int) -> dict:
         """Name -> shape of one tower's parameters, in file and draw order.
-        Raises ValueError for a combination no model has: dims must be >= 1,
-        hidden_dim 0 for linear and >= 1 for mlp1."""
+        Raises ValueError for a combination no model has: dims must be
+        integers (`core._check_int`), >= 1, hidden_dim 0 for linear."""
         if arch not in (LINEAR, MLP1):
             raise ValueError(f"unknown arch {arch!r}")
+        for name, dim in (("input_dim", input_dim), ("output_dim", output_dim),
+                          ("hidden_dim", hidden_dim)):
+            _check_int(name, dim)
         if min(input_dim, output_dim) < 1 or (
                 hidden_dim != 0 if arch == LINEAR else hidden_dim < 1):
             raise ValueError(f"no {arch} model has input_dim {input_dim}, "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import kmeans
-from .core import _equal, _rows, nearest, pairwise_sq_dists
+from .core import _check_int, _equal, _rows, nearest, pairwise_sq_dists
 from .errors import BadSubspaceSplit, CorruptCode, TooFewPoints
 
 
@@ -37,6 +37,8 @@ def _split(x: np.ndarray, m: int, sub_dim: int) -> np.ndarray:
 def pq_train(residuals, m: int, ksub: int, rng) -> PqCodebook:
     x = _rows(residuals, "residuals")
     dim = x.shape[1]
+    _check_int("m", m)
+    _check_int("ksub", ksub)
     if m < 1 or dim % m != 0:
         raise BadSubspaceSplit(f"dim {dim} cannot be split into m={m} "
                                f"equal subspaces")

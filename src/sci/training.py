@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder
-from .core import _equal, _rows, _sum_sq, as_f32, make_rng
+from .core import _check_int, _equal, _rows, _sum_sq, as_f32, make_rng
 from .errors import (DegenerateTriplet, DimensionMismatch, Diverged,
                      KinkTooClose, SciError)
 
@@ -81,6 +81,7 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        _check_int("epochs", self.epochs)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not np.isfinite(self.learning_rate):

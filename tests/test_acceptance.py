@@ -196,14 +196,15 @@ def test_criterion_03c_non_collapse_independence():
 
 
 def _witness_pairs(data, per_query=1):
-    """Aligned (query rows, item rows) feature arrays of the first relevant
-    items of every query."""
+    """The query and item feature arrays and the (query row, item row) pairs
+    of the first relevant items of every query."""
     q_rows, i_rows = [], []
     for q in sorted(data.qrels):
         for item in sorted(data.qrels[q])[:per_query]:
             q_rows.append(q)
             i_rows.append(item)
-    return data.query_features[q_rows], data.item_features[i_rows]
+    return (data.query_features, data.item_features,
+            np.array((q_rows, i_rows), dtype=np.intp).T)
 
 
 def _train_pair(seed, epochs, lr, lam):

@@ -95,6 +95,42 @@ class TestDiagnose:
         assert report["alignment_error"] >= 0.0
         assert report["cond_q"] >= 1.0
 
+    @staticmethod
+    def _unusable_lines(pipeline):
+        """Qrels lines that name no pair: grade 0 for an item the query does
+        not judge yet, an unknown item id and an unknown query id."""
+        qrels = data_io.read_qrels(os.path.join(pipeline["data"], "qrels.tsv"))
+        unjudged = min(set(range(200)) - set(qrels[0]))
+        return f"0\t{unjudged}\t0\n0\t999999\t1\n999999\t{unjudged}\t2\n"
+
+    def _diagnose(self, pipeline, tmp_path, qrels, name):
+        """`sci diagnose` over a copy of the pipeline's data whose qrels.tsv
+        is `qrels`; returns the exit code and the output path."""
+        data = tmp_path / name
+        shutil.copytree(pipeline["data"], data)
+        (data / "qrels.tsv").write_text(qrels)
+        out = tmp_path / f"{name}.json"
+        return cli.run(["diagnose", "--model", pipeline["model"], "--data",
+                        str(data), "--out", str(out)]), out
+
+    def test_unusable_qrels_lines_are_skipped(self, pipeline, tmp_path):
+        lines = open(os.path.join(pipeline["data"], "qrels.tsv")).readlines()
+        mid = len(lines) // 2
+        want = self._diagnose(pipeline, tmp_path, "".join(lines), "plain")
+        got = self._diagnose(pipeline, tmp_path, "".join(
+            lines[:mid] + [self._unusable_lines(pipeline)] + lines[mid:]),
+            "padded")
+        assert want[0] == got[0] == 0
+        assert got[1].read_bytes() == want[1].read_bytes()
+
+    def test_no_usable_pair_is_exit_1(self, pipeline, tmp_path, capsys):
+        capsys.readouterr()
+        code, out = self._diagnose(pipeline, tmp_path,
+                                   self._unusable_lines(pipeline), "none")
+        assert code == 1
+        assert capsys.readouterr().err == "sci: error: empty pair list\n"
+        assert not out.exists()
+
 
 class TestBuildIndex:
     def test_index_loads(self, pipeline):

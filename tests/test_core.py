@@ -677,7 +677,8 @@ def _rows_sites():
             index, index, m, ids(x), x, {}, [1], [1]), 4),
         ("encode_batch", lambda x: encoder.encode_batch(m, encoder.QUERY, x),
          4),
-        ("diagnose", lambda x: diagnostics.diagnose(m, x, x, items), 4),
+        ("diagnose", lambda x: diagnostics.diagnose(m, x, x, [[0, 0]], items),
+         4),
         ("triplet_grad", lambda x: training.grad(
             m, training.TripletBatch(x, x, x), training.LossConfig()), 4),
     ]

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,18 @@ def pair_model(dim, seed=0, normalize=True, symmetric=False):
     return m
 
 
-def pair_report(model, queries, items, seed=0):
-    """`diagnose` of the pairs (queries[r], items[r]), over a pool of twice
-    output_dim + 1 random inputs."""
+def same_rows(n):
+    """The pairs (r, r) for r < n."""
+    return np.repeat(np.arange(n), 2).reshape(n, 2)
+
+
+def pair_report(model, queries, items, seed=0, pairs=None):
+    """`diagnose` of `pairs`, by default the pairs (queries[r], items[r]),
+    over a pool of twice output_dim + 1 random inputs."""
     pool = make_rng(seed).normal(size=(2 * model.output_dim + 1,
                                        model.input_dim))
-    return diagnostics.diagnose(model, queries, items, pool)
+    pairs = same_rows(len(queries)) if pairs is None else pairs
+    return diagnostics.diagnose(model, queries, items, pairs, pool)
 
 
 class TestAlignmentError:
@@ -51,8 +60,10 @@ class TestAlignmentError:
         assert (0.9 - 0.7) ** 2 == pytest.approx(0.04)
 
     def test_empty_pairs_raise(self):
-        with pytest.raises(ValueError):
-            pair_report(pair_model(3), [], [])
+        rows = np.ones((2, 3))
+        with pytest.raises(ValueError, match="empty pair list"):
+            pair_report(pair_model(3), rows, rows,
+                        pairs=np.empty((0, 2), dtype=np.intp))
 
     def test_pair_arrays_must_line_up(self, rng):
         m = pair_model(3)
@@ -60,6 +71,17 @@ class TestAlignmentError:
         for items in (qs[:3], qs[:, :2], qs[0]):
             with pytest.raises(DimensionMismatch):
                 pair_report(m, qs, items)
+        # pairs are rows of (query row, item row) integers inside 4 x 4 rows
+        for pairs, error in (([0, 1], DimensionMismatch),
+                             ([[0, 1, 2]], DimensionMismatch),
+                             ([[0.0, 1.0]], ValueError),
+                             ([[True, False]], ValueError),
+                             ([[-1, 0]], DimensionMismatch),
+                             ([[0, -1]], DimensionMismatch),
+                             ([[4, 0]], DimensionMismatch),
+                             ([[0, 4]], DimensionMismatch)):
+            with pytest.raises(error, match="pairs"):
+                pair_report(m, qs, qs, pairs=np.array(pairs))
 
 
 def smallest_eigenvalue(model, tower, x):
@@ -178,22 +200,23 @@ class TestDiagnose:
         m = pair_model(4, seed=2)
         pairs = rng.normal(size=(6, 2, 4))
         report = diagnostics.diagnose(m, pairs[:, 0], pairs[:, 1],
-                                      rng.normal(size=(30, 4)))
+                                      same_rows(6), rng.normal(size=(30, 4)))
         assert set(report) == {"alignment_error", "n_pairs", "cond_q",
                                "cond_i", "cov_fro_gap", "pair_stats"}
         assert set(report["pair_stats"]) == {"mean", "median", "min", "max",
                                              "std"}
 
     def test_encodes_each_pair_tower_once(self, rng):
-        # direct and swapped similarities (2 towers x 2 sides each) plus both
-        # towers over the pooled inputs: the direct pairs are shared with the
-        # pair statistics, not encoded again
+        # both towers over the query rows and over the item rows, however
+        # many pairs name a row, plus both towers over the pooled inputs: the
+        # direct pairs are shared with the pair statistics, not encoded again
         m = pair_model(4, seed=2)
         pairs = rng.normal(size=(6, 2, 4))
-        before = m.encode_calls
-        diagnostics.diagnose(m, pairs[:, 0], pairs[:, 1],
-                             rng.normal(size=(30, 4)))
-        assert m.encode_calls - before == 4 * 6 + 2 * 30
+        for rows in (same_rows(6), np.argwhere(np.ones((6, 6)))):
+            before = m.encode_calls
+            diagnostics.diagnose(m, pairs[:, 0], pairs[:, 1], rows,
+                                 rng.normal(size=(30, 4)))
+            assert m.encode_calls - before == 2 * (6 + 6) + 2 * 30
 
     @pytest.mark.parametrize("model", [pair_model(16, seed=4),
                                        mlp_model(16, 16, 32, seed=4)],
@@ -210,8 +233,33 @@ class TestDiagnose:
             b = encoder.encode_batch(model, ti, its).astype(np.float64)
             want[name] = np.einsum("ij,ij->i", a, b)
         direct = want["direct"]
-        report = diagnostics.diagnose(model, qs, its, qs[:64])
+        report = diagnostics.diagnose(model, qs, its, same_rows(n), qs[:64])
         assert report["alignment_error"] == float(
             np.mean((direct - want["swapped"]) ** 2))
         assert report["pair_stats"]["mean"] == float(np.mean(np.sort(direct)))
         assert report["pair_stats"]["max"] == float(direct.max())
+        # Shuffled pairs that repeat rows, over the same three blocks, read
+        # as the same pairs copied out to aligned rows.
+        p = rng.integers(0, [300, 200], size=(n, 2))
+        assert len(np.unique(p[:, 0])) < n and len(np.unique(p[:, 1])) < n
+        assert diagnostics.diagnose(model, qs[:300], its[:200], p, qs[:64]) == \
+            diagnostics.diagnose(model, qs[p[:, 0]], its[p[:, 1]],
+                                 same_rows(n), qs[:64])
+
+
+def test_no_encode_batch_inside_a_loop():
+    # Rows are encoded once per tower; an encode inside a loop (a
+    # comprehension included) is a per-pair or per-block encode.
+    tree = ast.parse(pathlib.Path(diagnostics.__file__).read_text())
+
+    def encodes(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "encode_batch"]
+
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    assert len(encodes(tree)) >= 4
+    assert [line for loop in ast.walk(tree) if isinstance(loop, loops)
+            for line in encodes(loop)] == []

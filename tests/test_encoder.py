@@ -49,13 +49,22 @@ class TestInit:
         with pytest.raises(ValueError):
             encoder.init(encoder.MLP1, 8, 4, make_rng(0))
 
-    @pytest.mark.parametrize("arch, dims", [(encoder.LINEAR, (0, 4)),
-                                            (encoder.LINEAR, (8, 0)),
-                                            (encoder.MLP1, (0, 4)),
-                                            (encoder.MLP1, (8, -1))])
+    @pytest.mark.parametrize("arch, dims", [(encoder.LINEAR, (0, 4, 3)),
+                                            (encoder.LINEAR, (8, 0, 3)),
+                                            (encoder.MLP1, (0, 4, 3)),
+                                            (encoder.MLP1, (8, -1, 3)),
+                                            (encoder.LINEAR, (True, 4, 3)),
+                                            (encoder.LINEAR, (8, 4.0, 3)),
+                                            (encoder.MLP1, (8, 4, True))])
     def test_dims_below_one(self, arch, dims):
-        with pytest.raises(ValueError, match=f"no {arch} model"):
-            encoder.init(arch, *dims, make_rng(0), hidden_dim=3)
+        # dims: input_dim, output_dim, hidden_dim; a bool or a float is
+        # refused by name before any range is read
+        typed = [f"{name} must be an integer, got {dim}" for name, dim in zip(
+            ("input_dim", "output_dim", "hidden_dim"), dims)
+            if type(dim) is not int]
+        match = typed[0] if typed else f"no {arch} model"
+        with pytest.raises(ValueError, match=match):
+            encoder.init(arch, *dims[:2], make_rng(0), hidden_dim=dims[2])
 
 
 class TestLayout:

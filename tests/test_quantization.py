@@ -57,14 +57,17 @@ class TestPqTrain:
             pq.pq_train(rng.normal(size=(40, 10)).astype(np.float32), 3, 4,
                         make_rng(0))
 
-    @pytest.mark.parametrize("m", [0, -2])
+    @pytest.mark.parametrize("m", [0, -2, 2.0, True])
     def test_fewer_than_one_subspace(self, rng, m):
-        with pytest.raises(BadSubspaceSplit, match=f"m={m}"):
+        # a bool or a float is refused by name before any split is tried
+        error, match = ((BadSubspaceSplit, f"m={m}") if type(m) is int else
+                        (ValueError, f"m must be an integer, got {m}"))
+        with pytest.raises(error, match=match):
             pq.pq_train(rng.normal(size=(40, 8)).astype(np.float32), m, 4,
                         make_rng(0))
 
     def test_ksub_limit(self, rng):
-        for ksub in (0, -1, 257, 300):
+        for ksub in (0, -1, 257, 300, 4.0, True):
             with pytest.raises(ValueError, match=f"ksub .*got {ksub}"):
                 pq.pq_train(rng.normal(size=(400, 4)).astype(np.float32), 2,
                             ksub, make_rng(0))

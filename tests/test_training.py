@@ -241,7 +241,8 @@ class TestTrain:
                                     training.TrainConfig(0, 0.1, 0))
         assert m == before and history == []
 
-    @pytest.mark.parametrize("epochs", [-1, -200])
+    # a float is not truncated by `range`, and a bool is not one epoch
+    @pytest.mark.parametrize("epochs", [-1, -200, 2.5, True])
     def test_negative_epochs(self, epochs):
         with pytest.raises(ValueError, match=f"epochs .* got {epochs}"):
             training.TrainConfig(epochs, 0.05, 0)
